@@ -1,13 +1,17 @@
 """Command-line interface.
 
-Subcommands: rates, sweep, oracle, plan, montecarlo.  Configuration comes from
-an INI file with sections [source], [channel], [detector], [sweep], [run];
-``--set section.key=value`` and named flags override file values (named flags
-win).  Machine output (--output csv|json) carries 12 significant digits and is
-byte-identical for identical inputs; the default table view rounds to 4.
+Subcommands: rates, sweep, oracle, plan, montecarlo.  Every configuration
+field is one row of ``FIELDS``: its INI section and key, its ``RunConfig``
+attribute (which is also its flag: ``--phi-rad`` sets ``phi_rad``), its type,
+default and check.  Values merge from defaults, an INI file with sections
+[source], [channel], [detector], [sweep], [run], ``--set section.key=value``
+and named flags (named flags win).  Numbers must be finite; only the rate
+floor may be inf, an infeasible request.  Machine output
+(--output csv|json) carries 12 significant digits and is byte-identical for
+identical inputs; the default table view rounds to 4.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 infeasible request or
-oracle disagreement.
+Exit codes: 0 success, 1 configuration, usage or model-domain error,
+2 infeasible request or oracle disagreement.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import io
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
+from typing import NamedTuple
 
 from . import experiment, fock
 from .experiment import ChannelParams, DetectorSpec
@@ -42,105 +47,50 @@ class InfeasibleError(Exception):
     """Physically infeasible request or failed oracle check; maps to exit code 2."""
 
 
-_SCHEMA = {
-    "source": {
-        "alpha": float,
-        "phi_rad": float,
-        "sigma1_rad": float,
-        "sigma2_rad": float,
-        "rate_hz": float,
-    },
-    "channel": {
-        "loss_db_per_km": float,
-        "distance_km_total": float,
-    },
-    "detector": {
-        "dark_rate_hz": float,
-        "coincidence_window_s": float,
-    },
-    "sweep": {
-        "variable": str,
-        "start": float,
-        "stop": float,
-        "steps": int,
-    },
-    "run": {
-        "protocol": str,
-        "seed": int,
-        "duration_s": float,
-        "output": str,
-        "rate_floor_counts_per_s": float,
-        "oracle_tolerance": float,
-    },
-}
+class Field(NamedTuple):
+    """One configuration field: INI location, RunConfig attribute and flag dest, rule."""
 
-_DEFAULTS = {
-    ("source", "alpha"): 100.0,
-    ("source", "phi_rad"): 0.0028,
-    ("source", "sigma1_rad"): 0.0,
-    ("source", "sigma2_rad"): 0.0,
-    ("source", "rate_hz"): 1e9,
-    ("channel", "loss_db_per_km"): 0.15,
-    ("channel", "distance_km_total"): 400.0,
-    ("detector", "dark_rate_hz"): 0.0008,
-    ("detector", "coincidence_window_s"): 1e-9,
-    ("sweep", "variable"): "",
-    ("sweep", "start"): 0.0,
-    ("sweep", "stop"): 0.0,
-    ("sweep", "steps"): 0,
-    ("run", "protocol"): "usd2",
-    ("run", "seed"): 12345,
-    ("run", "duration_s"): 10000.0,
-    ("run", "output"): TABLE,
-    ("run", "rate_floor_counts_per_s"): 1.0,
-    ("run", "oracle_tolerance"): 1e-8,
-}
-
-# argparse dest -> (section, key)
-_FLAG_MAP = {
-    "alpha": ("source", "alpha"),
-    "phi_rad": ("source", "phi_rad"),
-    "sigma1_rad": ("source", "sigma1_rad"),
-    "sigma2_rad": ("source", "sigma2_rad"),
-    "source_rate_hz": ("source", "rate_hz"),
-    "loss_db_per_km": ("channel", "loss_db_per_km"),
-    "distance_km_total": ("channel", "distance_km_total"),
-    "dark_rate_hz": ("detector", "dark_rate_hz"),
-    "coincidence_window_s": ("detector", "coincidence_window_s"),
-    "protocol": ("run", "protocol"),
-    "seed": ("run", "seed"),
-    "duration_s": ("run", "duration_s"),
-    "output": ("run", "output"),
-    "rate_floor": ("run", "rate_floor_counts_per_s"),
-    "tolerance": ("run", "oracle_tolerance"),
-    "axis": ("sweep", "variable"),
-    "start": ("sweep", "start"),
-    "stop": ("sweep", "stop"),
-    "steps": ("sweep", "steps"),
-}
+    section: str
+    key: str
+    name: str
+    kind: type
+    default: object
+    check: tuple | None = None  # allowed values, or (">" | ">=", bound)
+    help: str | None = None
+    inf_ok: bool = False        # +inf is a meaningful value (an unreachable floor)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    alpha: float
-    phi_rad: float
-    sigma1_rad: float
-    sigma2_rad: float
-    source_rate_hz: float
-    loss_db_per_km: float
-    distance_km_total: float
-    dark_rate_hz: float
-    coincidence_window_s: float
-    sweep_variable: str
-    sweep_start: float
-    sweep_stop: float
-    sweep_steps: int
-    protocol: str
-    seed: int
-    duration_s: float
-    output: str
-    rate_floor: float
-    oracle_tolerance: float
+FIELDS = (
+    Field("source", "alpha", "alpha", float, 100.0, (">", 0)),
+    Field("source", "phi_rad", "phi_rad", float, 0.0028),
+    Field("source", "sigma1_rad", "sigma1_rad", float, 0.0),
+    Field("source", "sigma2_rad", "sigma2_rad", float, 0.0),
+    Field("source", "rate_hz", "source_rate_hz", float, 1e9, (">", 0)),
+    Field("channel", "loss_db_per_km", "loss_db_per_km", float, 0.15, (">=", 0)),
+    Field("channel", "distance_km_total", "distance_km_total", float, 400.0, (">=", 0)),
+    Field("detector", "dark_rate_hz", "dark_rate_hz", float, 0.0008, (">=", 0)),
+    Field("detector", "coincidence_window_s", "coincidence_window_s", float, 1e-9, (">", 0)),
+    # The sweep fields are checked by cmd_sweep: they are unset for every other command.
+    Field("sweep", "variable", "axis", str, "", help="one of " + ", ".join(SWEEP_AXES)),
+    Field("sweep", "start", "start", float, 0.0),
+    Field("sweep", "stop", "stop", float, 0.0),
+    Field("sweep", "steps", "steps", int, 0),
+    Field("run", "protocol", "protocol", str, "usd2", PROTOCOLS),
+    Field("run", "seed", "seed", int, 12345, (">=", 0)),
+    Field("run", "duration_s", "duration_s", float, 10000.0, (">=", 0)),
+    Field("run", "output", "output", str, TABLE, OUTPUTS, "output format"),
+    Field("run", "rate_floor_counts_per_s", "rate_floor", float, 1.0, (">", 0),
+          "rate floor in counts/s (plan)", inf_ok=True),
+    Field("run", "oracle_tolerance", "tolerance", float, 1e-8, (">", 0),
+          "oracle agreement tolerance"),
+)
+
+_FIELD_AT = {(f.section, f.key): f for f in FIELDS}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+class _ModelInputs:
+    """Model inputs built from a RunConfig; a model-side rejection becomes a ConfigError."""
 
     def params(self) -> ProtocolParams:
         try:
@@ -161,19 +111,41 @@ class RunConfig:
             raise ConfigError(f"detector: {exc}") from None
 
 
-def _coerce(section: str, key: str, raw, kind):
-    if isinstance(raw, kind):
-        return raw
+RunConfig = make_dataclass(
+    "RunConfig", [(f.name, f.kind) for f in FIELDS], bases=(_ModelInputs,), frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "Resolved configuration: one attribute per FIELDS row, named by Field.name."})
+
+
+def _coerce(field: Field, raw: str):
+    """Parse one raw INI, --set or flag value; floats must be finite."""
+    where = f"{field.section}.{field.key}"
     try:
-        return kind(raw)
+        value = field.kind(raw)
     except (TypeError, ValueError):
-        want = {float: "a number", int: "an integer", str: "a string"}[kind]
-        raise ConfigError(f"{section}.{key}: expected {want}, got {raw!r}") from None
+        want = {float: "a number", int: "an integer"}[field.kind]
+        raise ConfigError(f"{where}: expected {want}, got {raw!r}") from None
+    if field.kind is float and not math.isfinite(value) and not (field.inf_ok and value > 0):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
+
+
+def _check(field: Field, value) -> None:
+    if field.check is None:
+        return
+    where = f"{field.section}.{field.key}"
+    if field.kind is str:
+        if value not in field.check:
+            raise ConfigError(f"{where}: expected one of {field.check}, got {value!r}")
+        return
+    op, bound = field.check
+    if not _COMPARE[op](value, bound):
+        raise ConfigError(f"{where}: must be {op} {bound}, got {value}")
 
 
 def load_config(path: str | None, overrides: list[tuple[str, str, str]]) -> RunConfig:
     """Merge defaults, an optional INI file, and override assignments into a RunConfig."""
-    values = dict(_DEFAULTS)
+    raw = []
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -183,67 +155,20 @@ def load_config(path: str | None, overrides: list[tuple[str, str, str]]) -> RunC
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
+        sections = {f.section for f in FIELDS}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown config field {section}.{key}")
-                values[(section, key)] = _coerce(section, key, raw, _SCHEMA[section][key])
-    for section, key, raw in overrides:
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+            raw += [(section, key, value) for key, value in parser.items(section)]
+    values = {f.name: f.default for f in FIELDS}
+    for section, key, text in raw + overrides:
+        field = _FIELD_AT.get((section, key))
+        if field is None:
             raise ConfigError(f"unknown config field {section}.{key}")
-        values[(section, key)] = _coerce(section, key, raw, _SCHEMA[section][key])
-
-    cfg = RunConfig(
-        alpha=values[("source", "alpha")],
-        phi_rad=values[("source", "phi_rad")],
-        sigma1_rad=values[("source", "sigma1_rad")],
-        sigma2_rad=values[("source", "sigma2_rad")],
-        source_rate_hz=values[("source", "rate_hz")],
-        loss_db_per_km=values[("channel", "loss_db_per_km")],
-        distance_km_total=values[("channel", "distance_km_total")],
-        dark_rate_hz=values[("detector", "dark_rate_hz")],
-        coincidence_window_s=values[("detector", "coincidence_window_s")],
-        sweep_variable=values[("sweep", "variable")],
-        sweep_start=values[("sweep", "start")],
-        sweep_stop=values[("sweep", "stop")],
-        sweep_steps=values[("sweep", "steps")],
-        protocol=values[("run", "protocol")],
-        seed=values[("run", "seed")],
-        duration_s=values[("run", "duration_s")],
-        output=values[("run", "output")],
-        rate_floor=values[("run", "rate_floor_counts_per_s")],
-        oracle_tolerance=values[("run", "oracle_tolerance")],
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"run.protocol: expected one of {PROTOCOLS}, got {cfg.protocol!r}")
-    if cfg.output not in OUTPUTS:
-        raise ConfigError(f"run.output: expected one of {OUTPUTS}, got {cfg.output!r}")
-    if cfg.alpha <= 0:
-        raise ConfigError(f"source.alpha: must be > 0, got {cfg.alpha}")
-    if cfg.source_rate_hz <= 0:
-        raise ConfigError(f"source.rate_hz: must be > 0, got {cfg.source_rate_hz}")
-    if cfg.loss_db_per_km < 0:
-        raise ConfigError(f"channel.loss_db_per_km: must be >= 0, got {cfg.loss_db_per_km}")
-    if cfg.distance_km_total < 0:
-        raise ConfigError(f"channel.distance_km_total: must be >= 0, got {cfg.distance_km_total}")
-    if cfg.dark_rate_hz < 0:
-        raise ConfigError(f"detector.dark_rate_hz: must be >= 0, got {cfg.dark_rate_hz}")
-    if cfg.coincidence_window_s <= 0:
-        raise ConfigError(f"detector.coincidence_window_s: must be > 0, "
-                          f"got {cfg.coincidence_window_s}")
-    if cfg.duration_s < 0:
-        raise ConfigError(f"run.duration_s: must be >= 0, got {cfg.duration_s}")
-    if cfg.rate_floor <= 0:
-        raise ConfigError(f"run.rate_floor_counts_per_s: must be > 0, got {cfg.rate_floor}")
-    if cfg.oracle_tolerance <= 0:
-        raise ConfigError(f"run.oracle_tolerance: must be > 0, got {cfg.oracle_tolerance}")
+        values[field.name] = _coerce(field, text)
+    for field in FIELDS:
+        _check(field, values[field.name])
+    return RunConfig(**values)
 
 
 def _fmt_machine(value):
@@ -332,22 +257,22 @@ def cmd_rates(cfg: RunConfig, stream) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, stream) -> int:
-    axis = cfg.sweep_variable
+    axis = cfg.axis
     if not axis:
         raise ConfigError("sweep.variable: exactly one sweep axis is required")
     if "," in axis:
         raise ConfigError(f"sweep.variable: exactly one sweep axis is required, got {axis!r}")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.variable: expected one of {SWEEP_AXES}, got {axis!r}")
-    if cfg.sweep_steps < 1:
-        raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.sweep_steps}")
+    if cfg.steps < 1:
+        raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.steps}")
     base_params, base_channel = cfg.params(), cfg.channel()
     rows = []
-    for i in range(cfg.sweep_steps):
-        if cfg.sweep_steps == 1:
-            value = cfg.sweep_start
+    for i in range(cfg.steps):
+        if cfg.steps == 1:
+            value = cfg.start
         else:
-            value = cfg.sweep_start + (cfg.sweep_stop - cfg.sweep_start) * i / (cfg.sweep_steps - 1)
+            value = cfg.start + (cfg.stop - cfg.start) * i / (cfg.steps - 1)
         params, channel = base_params, base_channel
         try:
             if axis == "delta_sigma_rad":
@@ -401,12 +326,12 @@ def cmd_oracle(cfg: RunConfig, stream) -> int:
                 "p_pipeline": p_pipeline,
                 "p_oracle": p_oracle,
                 "abs_error": err,
-                "ok": err <= cfg.oracle_tolerance,
+                "ok": err <= cfg.tolerance,
             })
     _emit(rows, cfg.output, stream)
-    if worst > cfg.oracle_tolerance:
+    if worst > cfg.tolerance:
         raise InfeasibleError(
-            f"oracle disagreement {worst:.3e} exceeds tolerance {cfg.oracle_tolerance:.3e}"
+            f"oracle disagreement {worst:.3e} exceeds tolerance {cfg.tolerance:.3e}"
         )
     return EXIT_OK
 
@@ -449,11 +374,9 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
-    try:
-        result = experiment.monte_carlo_run(params, channel, det, cfg.duration_s, cfg.seed,
-                                            cfg.protocol, cfg.source_rate_hz)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
+                                           cfg.protocol, cfg.source_rate_hz)
+    result = experiment.RunResult.from_blocks(blocks, cfg.seed)
     n_fold = 2 if cfg.protocol == "usd2" else 4
     no_counts = result.counts_max + result.counts_min == 0
     if no_counts:
@@ -477,8 +400,6 @@ def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
         "accidental_rate_per_s": experiment.accidental_rate(det, n_fold, cfg.source_rate_hz),
     }
     if bins_out is not None:
-        blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s,
-                                               cfg.seed, cfg.protocol, cfg.source_rate_hz)
         with open(bins_out, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
@@ -493,27 +414,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="PATH", help="INI configuration file")
-    sp.add_argument("--set", dest="assignments", action="append", default=[],
-                    metavar="SECTION.KEY=VALUE", help="override one config field")
-    sp.add_argument("--output", choices=OUTPUTS, help="output format")
-    sp.add_argument("--alpha", type=str)
-    sp.add_argument("--phi-rad", type=str)
-    sp.add_argument("--sigma1-rad", type=str)
-    sp.add_argument("--sigma2-rad", type=str)
-    sp.add_argument("--source-rate-hz", type=str)
-    sp.add_argument("--loss-db-per-km", type=str)
-    sp.add_argument("--distance-km-total", type=str)
-    sp.add_argument("--dark-rate-hz", type=str)
-    sp.add_argument("--coincidence-window-s", type=str)
-    sp.add_argument("--protocol", choices=PROTOCOLS)
-    sp.add_argument("--seed", type=str)
-    sp.add_argument("--duration-s", type=str)
-    sp.add_argument("--rate-floor", type=str, help="rate floor in counts/s (plan)")
-    sp.add_argument("--tolerance", type=str, help="oracle agreement tolerance")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catbell",
                      description="Phase-entangled coherent-state link calculator")
@@ -526,12 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("montecarlo", "simulate coincidence counting"),
     ):
         sp = sub.add_parser(name, help=helptext)
-        _add_common(sp)
-        if name == "sweep":
-            sp.add_argument("--axis", choices=SWEEP_AXES)
-            sp.add_argument("--start", type=str)
-            sp.add_argument("--stop", type=str)
-            sp.add_argument("--steps", type=str)
+        sp.add_argument("--config", metavar="PATH", help="INI configuration file")
+        sp.add_argument("--set", dest="assignments", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE", help="override one config field")
+        for field in FIELDS:
+            if field.section != "sweep" or name == "sweep":
+                sp.add_argument("--" + field.name.replace("_", "-"), help=field.help,
+                                choices=field.check if field.kind is str else None)
         if name == "montecarlo":
             sp.add_argument("--bins-out", metavar="PATH",
                             help="write per-block counts as CSV")
@@ -546,10 +447,10 @@ def _collect_overrides(args: argparse.Namespace) -> list[tuple[str, str, str]]:
         target, raw = assignment.split("=", 1)
         section, key = target.split(".", 1)
         overrides.append((section.strip(), key.strip(), raw.strip()))
-    for dest, (section, key) in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
+    for field in FIELDS:
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides.append((section, key, str(value)))
+            overrides.append((field.section, field.key, value))
     return overrides
 
 
@@ -576,6 +477,10 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (ValueError, ArithmeticError) as exc:
+        # A value the config checks cannot foresee, refused by the model itself.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -9,7 +9,6 @@ fixed at 1; dark counts are the only detector imperfection modeled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,6 +89,13 @@ class RunResult:
     estimated_visibility: float
     stderr_visibility: float
     seed: int
+
+    @classmethod
+    def from_blocks(cls, rows: list[tuple[int, float, int, int]], seed: int) -> "RunResult":
+        """Session totals and visibility estimate from monte_carlo_blocks rows."""
+        counts_max = sum(row[2] for row in rows)
+        counts_min = sum(row[3] for row in rows)
+        return cls(counts_max, counts_min, *visibility_estimate(counts_max, counts_min), seed)
 
 
 class RangeResult(NamedTuple):
@@ -262,18 +268,6 @@ def optimize_phi(alpha: float, channel: ChannelParams, which: str) -> PhiOptimum
     return PhiOptimum(phi_star, max(p_best, 0.0), constrained, note)
 
 
-def _block_plan(duration_s: float) -> list[float]:
-    """Fixed 1 s blocks plus a fractional remainder; the plan depends only on duration."""
-    if duration_s < 0:
-        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-    full = int(duration_s // _MC_BLOCK_SECONDS)
-    rem = duration_s - full * _MC_BLOCK_SECONDS
-    blocks = [_MC_BLOCK_SECONDS] * full
-    if rem > 0:
-        blocks.append(rem)
-    return blocks
-
-
 def _block_counts(seed: int, index: int, pulses: int, p_max: float, p_min: float,
                   dark_mean: float) -> tuple[int, int]:
     """Counts for one block, from a stream keyed only by (seed, block index)."""
@@ -293,58 +287,45 @@ def visibility_estimate(counts_max: int, counts_min: int) -> tuple[float, float]
     return vis, stderr
 
 
-def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
-                    duration_s: float, seed: int, which: str, source_rate_hz: float,
-                    workers: int = 1) -> RunResult:
-    """Simulate coincidence counting at both fringe extremes for duration_s seconds.
+def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+                       duration_s: float, seed: int, which: str,
+                       source_rate_hz: float) -> list[tuple[int, float, int, int]]:
+    """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
 
     Counts are drawn blockwise as binomials over the pulses in each 1 s block
-    (never per pulse), plus Poisson accidentals from dark counts.  Each block's
-    stream is keyed by (seed, block index) with a counter-based generator, so
-    the result is bit-identical for any worker count.
+    (never per pulse), plus Poisson accidentals from dark counts; a fractional
+    remainder of duration_s forms a last, shorter block.  Each block's stream
+    is keyed only by (seed, block index) with a counter-based generator, so any
+    subset of blocks, drawn in any order, reproduces the matching rows.
     """
+    if duration_s < 0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
     if source_rate_hz <= 0:
         raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
     if detector.coincidence_window_s * source_rate_hz > 1.0:
         raise ValueError("coincidence window must be below the source pulse period")
     report = protocol_report(params, channel, which)
-    n_fold = 2 if which == "usd2" else 4
-    dark_rate = accidental_rate(detector, n_fold)
-    blocks = _block_plan(duration_s)
-
-    def one(index_and_dur):
-        index, dur = index_and_dur
-        pulses = round(source_rate_hz * dur)
-        return _block_counts(seed, index, pulses, report.p_max, report.p_min, dark_rate * dur)
-
-    items = list(enumerate(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(item) for item in items]
-    counts_max = sum(r[0] for r in results)
-    counts_min = sum(r[1] for r in results)
-    vis, stderr = visibility_estimate(counts_max, counts_min)
-    return RunResult(counts_max, counts_min, vis, stderr, seed)
-
-
-def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
-                       duration_s: float, seed: int, which: str,
-                       source_rate_hz: float) -> list[tuple[int, float, int, int]]:
-    """Per-block (index, t_start_s, counts_max, counts_min) rows for the same streams."""
-    report = protocol_report(params, channel, which)
-    n_fold = 2 if which == "usd2" else 4
-    dark_rate = accidental_rate(detector, n_fold)
+    dark_rate = accidental_rate(detector, 2 if which == "usd2" else 4)
+    full = int(duration_s // _MC_BLOCK_SECONDS)
     rows = []
-    t = 0.0
-    for index, dur in enumerate(_block_plan(duration_s)):
-        pulses = round(source_rate_hz * dur)
-        c_max, c_min = _block_counts(seed, index, pulses, report.p_max, report.p_min,
-                                     dark_rate * dur)
-        rows.append((index, t, c_max, c_min))
-        t += dur
+    for index in range(full + (duration_s > full * _MC_BLOCK_SECONDS)):
+        t_start = index * _MC_BLOCK_SECONDS
+        dur = _MC_BLOCK_SECONDS if index < full else duration_s - t_start
+        c_max, c_min = _block_counts(seed, index, round(source_rate_hz * dur),
+                                     report.p_max, report.p_min, dark_rate * dur)
+        rows.append((index, t_start, c_max, c_min))
     return rows
+
+
+def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+                    duration_s: float, seed: int, which: str, source_rate_hz: float) -> RunResult:
+    """Simulate coincidence counting at both fringe extremes for duration_s seconds.
+
+    The totals of the monte_carlo_blocks rows, with the visibility estimate.
+    """
+    return RunResult.from_blocks(
+        monte_carlo_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz),
+        seed)
 
 
 def chsh_margin(vis: float) -> float:

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from catbell import ChannelParams
+from catbell import ChannelParams, accidental_rate, protocol_report
+from catbell.experiment import _block_counts
 
 
 def channel_for(alpha: float, alpha_prime: float, loss_db_per_km: float = 0.2) -> ChannelParams:
@@ -26,3 +27,21 @@ def coherent_series(nu: complex, dim: int = 32) -> np.ndarray:
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
     out = np.exp(-0.5 * abs(nu) ** 2 - 0.5 * log_fact) * np.power(complex(nu), n)
     return out
+
+
+def redraw_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz, indices):
+    """Monte Carlo block rows for `indices`, each drawn on its own (seed, index) stream.
+
+    Rebuilds every block's pulse count and means from the rate model, apart
+    from monte_carlo_blocks' loop, so a test can draw blocks in any subset and
+    order, as a partitioned session would, and compare them with a run.
+    """
+    report = protocol_report(params, channel, which)
+    dark_rate = accidental_rate(detector, 2 if which == "usd2" else 4)
+    rows = []
+    for index in indices:
+        dur = min(1.0, duration_s - index)
+        rows.append((index, float(index), *_block_counts(
+            seed, index, round(source_rate_hz * dur), report.p_max, report.p_min,
+            dark_rate * dur)))
+    return rows

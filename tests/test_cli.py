@@ -14,8 +14,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from catbell import cli
+from catbell import cli, experiment
 
 RATES_KEYS = {
     "protocol", "alpha", "phi_rad", "sigma1_rad", "sigma2_rad",
@@ -119,6 +120,76 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(["rates", "--frobnicate"])[0] == 1
     assert run_cli([])[0] == 1
     assert run_cli(["rates", "--alpha", "-5"])[0] == 1
+
+
+# An infinite rate floor stays a valid, infeasible request (test_plan_infeasible).
+NON_FINITE = [(f, text) for f in cli.FIELDS if f.kind is float
+              for text in ("nan", "inf", "-inf") if not (f.inf_ok and text == "inf")]
+
+
+@pytest.mark.parametrize("via", ["flag", "set", "ini"])
+@pytest.mark.parametrize("field,text", NON_FINITE,
+                         ids=[f"{f.name}-{text}" for f, text in NON_FINITE])
+def test_non_finite_numbers_rejected(field, text, via, tmp_path, capsys):
+    where = f"{field.section}.{field.key}"
+    if via == "flag":
+        argv = ["sweep", f"--{field.name.replace('_', '-')}={text}"]
+    elif via == "set":
+        argv = ["sweep", "--set", f"{where}={text}"]
+    else:
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{field.section}]\n{field.key} = {text}\n")
+        argv = ["sweep", "--config", str(path)]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert f"error: {where}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--alpha", "1e200"],
+    ["rates", "--phi-rad", "1e308"],
+    ["rates", "--protocol", "usd4", "--distance-km-total", "0"],
+])
+def test_model_layer_errors_exit_1(argv, capsys):
+    assert run_cli(argv)[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_seed_names_field(capsys):
+    assert run_cli(["montecarlo", "--seed", "-1"])[0] == 1
+    assert "run.seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0", "1e-320", "1e308", "usd4", "json", "csv", "", "x"]),
+)
+_FUZZ_FIELDS = [f for f in cli.FIELDS
+                if f.section != "sweep" and f.name not in ("duration_s", "seed")]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["rates", "plan", "oracle", "sweep"]))
+    argv = [command]
+    for field in draw(st.lists(st.sampled_from(_FUZZ_FIELDS), max_size=4)):
+        argv.append(f"--{field.name.replace('_', '-')}={draw(_NUMBERS)}")
+    if command == "sweep":
+        argv += [f"--axis={draw(st.sampled_from(cli.SWEEP_AXES + ('x',)))}",
+                 f"--start={draw(_NUMBERS)}", f"--stop={draw(_NUMBERS)}",
+                 f"--steps={draw(st.integers(-1, 5))}"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # Any exception escaping main fails the test; the exit code must be documented.
+    assert run_cli(argv)[0] in (0, 1, 2)
 
 
 def test_sweep_fringe_shape():
@@ -288,6 +359,17 @@ def test_montecarlo_bins_out(tmp_path):
     assert [int(c[0]) for c in cells] == [0, 1, 2, 3, 4]
     assert sum(int(c[2]) for c in cells) == record["counts_max"]
     assert sum(int(c[3]) for c in cells) == record["counts_min"]
+
+
+def test_montecarlo_bins_out_draws_each_block_once(tmp_path, monkeypatch):
+    drawn = []
+    draw = experiment._block_counts
+    monkeypatch.setattr(experiment, "_block_counts",
+                        lambda seed, index, *rest: drawn.append(index) or draw(seed, index, *rest))
+    code, _ = run_cli(["montecarlo", "--duration-s", "5.5", "--output", "json",
+                       "--bins-out", str(tmp_path / "bins.csv")])
+    assert code == 0
+    assert drawn == [0, 1, 2, 3, 4, 5]
 
 
 def test_montecarlo_zero_duration(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import redraw_blocks
 from catbell import (
     BELL_VISIBILITY_THRESHOLD,
     ChannelParams,
@@ -220,10 +221,21 @@ def test_monte_carlo_frozen_run():
 
 
 def test_monte_carlo_partition_independent():
-    lone = monte_carlo_run(REF, LINK_400, DET, 300.0, 9, "usd2", 1e9)
-    for workers in (2, 5):
-        split = monte_carlo_run(REF, LINK_400, DET, 300.0, 9, "usd2", 1e9, workers=workers)
-        assert split == lone
+    rows = monte_carlo_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9)
+    assert len(rows) == 301 and rows[-1][0] == 300
+    # Any subset of blocks, drawn alone and in any order, reproduces its rows.
+    picked = [300, 17, 0, 299, 5, 150, 42]
+    assert redraw_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9, picked) == [
+        rows[i] for i in picked]
+    # Sub-ranges drawn separately, last first, add up to the run totals.
+    run = monte_carlo_run(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9)
+    cuts = [0, 1, 77, 150, 299, 301]
+    parts = [redraw_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9, range(a, b))
+             for a, b in reversed(list(zip(cuts, cuts[1:])))]
+    assert sum(r[2] for part in parts for r in part) == run.counts_max
+    assert sum(r[3] for part in parts for r in part) == run.counts_min
+    # A shorter session is the head of a longer one.
+    assert monte_carlo_blocks(REF, LINK_400, DET, 120.0, 9, "usd2", 1e9) == rows[:120]
 
 
 def test_monte_carlo_zero_duration():
