@@ -21,7 +21,6 @@ from catbell import (
     ProtocolParams,
     chsh_s,
     protocol_report,
-    protocol_usd2,
 )
 
 CH = ChannelParams.from_total(0.15, 400.0)
@@ -32,7 +31,7 @@ steps = 13
 reports = []
 for i in range(steps):
     sigma = math.pi * i / (steps - 1)
-    rep = protocol_usd2(replace(BASE, sigma1=sigma, sigma2=0.0), CH)
+    rep = protocol_report(replace(BASE, sigma1=sigma, sigma2=0.0), CH, "usd2")
     reports.append((sigma, rep.p_success))
 
 top = max(p for _, p in reports)

@@ -25,6 +25,7 @@ from catbell import (
     accidental_rate,
     attenuate,
     counting_rates,
+    get_protocol,
     protocol_report,
 )
 
@@ -45,8 +46,8 @@ for which, total_km in (("usd4", 140.0), ("usd2", 400.0)):
     ch = ChannelParams.from_total(0.15, total_km)
     rep = protocol_report(params, ch, which)
     rates = counting_rates(rep.p_max, rep.p_min, SOURCE_RATE_HZ)
-    n_fold = 2 if which == "usd2" else 4
-    acc = accidental_rate(detector, n_fold, SOURCE_RATE_HZ)
+    n_fold = get_protocol(which).n_fold
+    acc = accidental_rate(detector, n_fold)
     print(f"{which} at {total_km:.0f} km:")
     print(f"  p_max = {rep.p_max:.3e}   p_min = {rep.p_min:.3e}")
     print(f"  fringe max {rates.r_max:.3f} counts/s   fringe min {rates.r_min:.3f} counts/s")

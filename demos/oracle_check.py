@@ -16,15 +16,8 @@ which is the sign the truncation itself is converged.
 
 import math
 
-from catbell import (
-    ChannelParams,
-    ProtocolParams,
-    attenuate,
-    oracle_protocol_prob,
-    recommended_dim,
-    success_prob,
-)
-from catbell.protocols import _usd2_prob, _usd4_prob
+from catbell import PROTOCOLS, ChannelParams, ProtocolParams, attenuate, pipeline_prob, success_prob
+from catbell.fock import oracle_protocol_prob, recommended_dim
 
 params = ProtocolParams(alpha=3.0, phi=0.15, sigma1=2.0, sigma2=0.3)
 channel = ChannelParams(0.2, 9.0)
@@ -33,8 +26,8 @@ print(f"alpha = {params.alpha}, 18 km total at 0.2 dB/km ->"
       f" |alpha'| = {alpha_prime:.4f}, N_L = {n_lost:.4f}")
 print()
 
-for which, pipeline in (("usd2", _usd2_prob), ("usd4", _usd4_prob)):
-    p_pipe = pipeline(params, channel)
+for which in PROTOCOLS:
+    p_pipe = pipeline_prob(params, channel, which)
     p_closed = success_prob(which, alpha_prime, n_lost, params.phi,
                             params.sigma1 - params.sigma2)
     p_oracle = oracle_protocol_prob(params, channel, which)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -26,9 +27,17 @@ import sys
 from dataclasses import make_dataclass, replace
 from typing import NamedTuple
 
-from . import experiment, fock
+from . import experiment
 from .experiment import ChannelParams, DetectorSpec
-from .protocols import PROTOCOLS, ProtocolParams, protocol_report, _usd2_prob, _usd4_prob
+from .protocols import (
+    PROTOCOLS,
+    SQRT8,
+    ProtocolParams,
+    get_protocol,
+    pipeline_prob,
+    protocol_report,
+    visibility,
+)
 
 TABLE, CSV, JSON = "table", "csv", "json"
 OUTPUTS = (TABLE, CSV, JSON)
@@ -302,22 +311,19 @@ def cmd_sweep(cfg: RunConfig, stream) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, stream) -> int:
+    from . import fock  # SciPy is loaded only by this command
+
     params, channel = cfg.params(), cfg.channel()
-    alpha_prime, _ = experiment.attenuate(params.alpha, channel)
-    if alpha_prime > fock.MAX_ORACLE_AMPLITUDE:
-        raise InfeasibleError(
-            f"surviving amplitude {alpha_prime:.3f} exceeds the oracle budget; "
-            f"recommended max {fock.MAX_ORACLE_AMPLITUDE} "
-            "(reduce alpha or increase the distance)"
-        )
-    pipelines = {"usd2": _usd2_prob, "usd4": _usd4_prob}
     rows = []
     worst = 0.0
     for which in PROTOCOLS:
         for dsig in (math.pi, math.pi / 2, 0.0):
             point = replace(params, sigma1=dsig, sigma2=0.0)
-            p_pipeline = pipelines[which](point, channel)
-            p_oracle = fock.oracle_protocol_prob(point, channel, which)
+            try:  # first: the budget check comes before any evaluation
+                p_oracle = fock.oracle_protocol_prob(point, channel, which)
+            except fock.OracleBudgetError as exc:
+                raise InfeasibleError(str(exc)) from None
+            p_pipeline = pipeline_prob(point, channel, which)
             err = abs(p_pipeline - p_oracle)
             worst = max(worst, err)
             rows.append({
@@ -353,7 +359,6 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
         return EXIT_INFEASIBLE
     channel = ChannelParams.from_total(cfg.loss_db_per_km, result.distance_km_total)
     _, n_lost = experiment.attenuate(params.alpha, channel)
-    from .protocols import SQRT8, visibility
     vis = visibility(n_lost, params.phi, exact=True)
     optimum = experiment.optimize_phi(params.alpha, channel, cfg.protocol)
     record = {
@@ -364,7 +369,7 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
         "limited_by": result.limited_by,
         "visibility_at_range": vis,
         "chsh_s_at_range": SQRT8 * vis,
-        "chsh_margin": SQRT8 * vis - 2.0,
+        "chsh_margin": experiment.chsh_margin(vis),
         "phi_star_at_range": optimum.phi_star,
         "phi_star_p_max": optimum.p_max,
     }
@@ -374,16 +379,25 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
-    blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
-                                           cfg.protocol, cfg.source_rate_hz)
+    try:
+        bins = None if bins_out is None else open(bins_out, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --bins-out {bins_out!r}: {exc}") from None
+    with bins or contextlib.nullcontext():
+        blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
+                                               cfg.protocol, cfg.source_rate_hz)
+        if bins is not None:
+            writer = csv.writer(bins, lineterminator="\n")
+            writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
+            for index, t_start, c_max, c_min in blocks:
+                writer.writerow([index, _fmt_machine(float(t_start)), c_max, c_min])
     result = experiment.RunResult.from_blocks(blocks, cfg.seed)
-    n_fold = 2 if cfg.protocol == "usd2" else 4
     no_counts = result.counts_max + result.counts_min == 0
     if no_counts:
         print("warning: no counts collected; visibility estimate undefined",
               file=sys.stderr)
-    s_est = None if no_counts else 2.0 * math.sqrt(2.0) * result.estimated_visibility
-    s_err = None if no_counts else 2.0 * math.sqrt(2.0) * result.stderr_visibility
+    s_est = None if no_counts else SQRT8 * result.estimated_visibility
+    s_err = None if no_counts else SQRT8 * result.stderr_visibility
     record = {
         "protocol": cfg.protocol,
         "duration_s": cfg.duration_s,
@@ -397,14 +411,9 @@ def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
         "s_stderr": s_err,
         "s_above_2_at_3sigma": bool(not no_counts and s_err > 0
                                     and (s_est - 2.0) / s_err > 3.0),
-        "accidental_rate_per_s": experiment.accidental_rate(det, n_fold, cfg.source_rate_hz),
+        "accidental_rate_per_s": experiment.accidental_rate(
+            det, get_protocol(cfg.protocol).n_fold),
     }
-    if bins_out is not None:
-        with open(bins_out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
-            for index, t_start, c_max, c_min in blocks:
-                writer.writerow([index, _fmt_machine(float(t_start)), c_max, c_min])
     _emit([record], cfg.output, stream)
     return EXIT_OK
 

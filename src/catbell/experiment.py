@@ -15,8 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .protocols import (
+    PROTOCOL_TABLE,
     ProtocolParams,
     SQRT8,
+    attenuate,
+    get_protocol,
     protocol_report,
     success_prob,
     visibility,
@@ -115,21 +118,6 @@ class PhiOptimum(NamedTuple):
     note: str = ""
 
 
-def attenuate(alpha: float, channel: ChannelParams) -> tuple[float, float]:
-    """Surviving amplitude and mean photons lost per beam.
-
-    Returns (alpha_prime, n_lost) with alpha_prime = alpha * sqrt(eta) and
-    n_lost = alpha^2 - alpha_prime^2, so the photon ledger
-    alpha_prime^2 + n_lost = alpha^2 holds exactly.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    alpha_prime = alpha * math.sqrt(channel.transmittance)
-    # n_lost is defined so the energy ledger alpha_prime^2 + n_lost = alpha^2
-    # closes; re-squaring the returned amplitude reopens it by at most 1 ulp.
-    return alpha_prime, alpha * alpha - alpha_prime * alpha_prime
-
-
 def counting_rates(p_max: float, p_min: float, source_rate_hz: float) -> CountingRates:
     """Scale the extreme-setting probabilities by the source repetition rate."""
     if source_rate_hz <= 0:
@@ -139,18 +127,17 @@ def counting_rates(p_max: float, p_min: float, source_rate_hz: float) -> Countin
     return CountingRates(p_max * source_rate_hz, p_min * source_rate_hz)
 
 
-def accidental_rate(detector: DetectorSpec, n_fold: int,
-                    source_rate_hz: float = 1e9) -> float:
+def accidental_rate(detector: DetectorSpec, n_fold: int) -> float:
     """Accidental n-fold coincidence rate from dark counts alone.
 
     R_acc = (dark_rate * window)^(n_fold - 1) * dark_rate * n_fold: one dark
     count opens the window, the remaining n-1 detectors must each fire within
     it, and any of the n detectors may be the trigger.  The estimate is
-    independent of the source rate; the argument is accepted so callers can
-    pass their full rate context through unchanged.
+    independent of the source rate.  n_fold is a protocol's coincidence order.
     """
-    if n_fold not in (2, 4):
-        raise ValueError(f"n_fold must be 2 or 4, got {n_fold}")
+    orders = tuple(p.n_fold for p in PROTOCOL_TABLE)
+    if n_fold not in orders:
+        raise ValueError(f"n_fold must be one of {orders}, got {n_fold}")
     dark = detector.dark_rate_hz
     window = detector.coincidence_window_s
     return (dark * window) ** (n_fold - 1) * dark * n_fold
@@ -305,7 +292,7 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     if detector.coincidence_window_s * source_rate_hz > 1.0:
         raise ValueError("coincidence window must be below the source pulse period")
     report = protocol_report(params, channel, which)
-    dark_rate = accidental_rate(detector, 2 if which == "usd2" else 4)
+    dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
     full = int(duration_s // _MC_BLOCK_SECONDS)
     rows = []
     for index in range(full + (duration_s > full * _MC_BLOCK_SECONDS)):

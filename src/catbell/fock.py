@@ -6,7 +6,9 @@ matrix exponentials of the truncated generator tau*adag - conj(tau)*a (not the
 coherent-overlap recursion), beam splitters are two-mode number-basis
 unitaries, and single-photon amplitudes are read off as the n = 1 component of
 the evolved vector.  Amplitudes must stay small (the truncation budget grows
-as |nu|^2), which is all the cross-checks need.
+as |nu|^2), which is all the cross-checks need.  This is the only module that
+needs SciPy; ``import catbell`` does not load it, so import it as
+``catbell.fock``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .protocols import (
     ENV_A,
     ENV_B,
     ProtocolParams,
-    _attenuation,
+    attenuate,
     build_analysis_state,
-    usd2_displacement,
-    usd4_displacements,
+    get_protocol,
 )
 
 if TYPE_CHECKING:
@@ -196,43 +197,38 @@ def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which
     records, not measured modes), making this a hybrid but formula-independent
     check of the detection arithmetic.
     """
-    alpha_prime, _ = _attenuation(params, channel)
+    alpha_prime, _ = attenuate(params.alpha, channel)
     if alpha_prime > MAX_ORACLE_AMPLITUDE:
         raise OracleBudgetError(
             f"surviving amplitude {alpha_prime:.3f} exceeds the oracle budget; "
-            f"recommended max {MAX_ORACLE_AMPLITUDE}"
+            f"recommended max {MAX_ORACLE_AMPLITUDE} (reduce alpha or increase the distance)"
         )
+    protocol = get_protocol(which)
     state = build_analysis_state(params, channel)
     env_modes = (ENV_A, ENV_B)
+    taus = protocol.displacements(alpha_prime, params.phi)
 
-    if which == "usd2":
-        tau = usd2_displacement(alpha_prime)
+    if protocol.ports == 1:
+        (tau,) = taus
         d = dim or recommended_dim((2.0 * alpha_prime) ** 2)
-        cache: dict[complex, complex] = {}
 
+        @lru_cache(maxsize=None)
         def detector_amp(nu: complex) -> complex:
-            if nu not in cache:
-                cache[nu] = complex(displace_fock(coherent_fock(nu, d), tau).coeffs[1])
-            return cache[nu]
+            return complex(displace_fock(coherent_fock(nu, d), tau).coeffs[1])
 
-    elif which == "usd4":
-        left, right = usd4_displacements(alpha_prime, params.phi)
+    else:
+        left, right = taus
         d = dim or recommended_dim(2.0 * alpha_prime**2)
         vac = np.zeros(d, dtype=complex)
         vac[0] = 1.0
-        cache = {}
 
+        @lru_cache(maxsize=None)
         def detector_amp(nu: complex) -> complex:
-            if nu not in cache:
-                tm = TwoModeFock(np.outer(vac, coherent_fock(nu, d).coeffs))
-                tm = beamsplitter_fock(tm, 0.5)
-                tm = displace_two_mode(tm, 0, left)
-                tm = displace_two_mode(tm, 1, right)
-                cache[nu] = complex(tm.grid[1, 1])
-            return cache[nu]
-
-    else:
-        raise ValueError(f"unknown protocol {which!r}")
+            tm = TwoModeFock(np.outer(vac, coherent_fock(nu, d).coeffs))
+            tm = beamsplitter_fock(tm, 0.5)
+            tm = displace_two_mode(tm, 0, left)
+            tm = displace_two_mode(tm, 1, right)
+            return complex(tm.grid[1, 1])
 
     weights = [
         b.coeff * detector_amp(b.amps[BEAM_1]) * detector_amp(b.amps[BEAM_2])

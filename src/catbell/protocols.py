@@ -19,8 +19,13 @@ vacuum and counting single photons in what remains:
   success probability scales as (|a'| sin phi)^4 and reaches farther for the
   same counting rate.
 
+The two differ only in the ports per beam (1 or 2) and the displacement of
+each port, so each is one ``Protocol`` row of ``PROTOCOL_TABLE``; the
+coincidence order k = 2 x ports follows.  Every consumer (pipeline, closed
+form, Fock oracle, accidentals, CLI) looks a name up with ``get_protocol``.
 Each protocol is evaluated two ways: an operator pipeline built from the
-branch algebra in states/optics, and a closed-form expression.  The two routes
+branch algebra in states/optics (``pipeline_prob``), and the closed form
+u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``).  The two routes
 must agree and the tests enforce that.
 """
 
@@ -31,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .optics import BeamSplitterSpec, LossSpec, apply_beam_splitter, apply_displacement, apply_loss
 from .states import (
@@ -60,9 +65,6 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 
 # Analyzer phase pattern (a, b, a', b') that maximizes the CHSH combination.
 CHSH_OPTIMAL_ANGLES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-
-PROTOCOLS = ("usd2", "usd4")
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -99,12 +101,19 @@ class RateReport:
     chsh_s: float
 
 
-def _attenuation(params: ProtocolParams, channel: "ChannelParams") -> tuple[float, float]:
-    """Surviving amplitude |a'| and mean photons lost per beam for this link."""
-    eta = channel.transmittance
-    alpha_prime = params.alpha * math.sqrt(eta)
-    n_lost = params.alpha**2 - alpha_prime**2
-    return alpha_prime, n_lost
+def attenuate(alpha: float, channel: "ChannelParams") -> tuple[float, float]:
+    """Surviving amplitude and mean photons lost per beam.
+
+    Returns (alpha_prime, n_lost) with alpha_prime = alpha * sqrt(eta) and
+    n_lost = alpha^2 - alpha_prime^2, so the photon ledger
+    alpha_prime^2 + n_lost = alpha^2 holds exactly.
+    """
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha_prime = alpha * math.sqrt(channel.transmittance)
+    # n_lost is defined so the energy ledger alpha_prime^2 + n_lost = alpha^2
+    # closes; re-squaring the returned amplitude reopens it by at most 1 ulp.
+    return alpha_prime, alpha * alpha - alpha_prime * alpha_prime
 
 
 def build_source_state(params: ProtocolParams) -> SuperposedState:
@@ -141,7 +150,7 @@ def build_analysis_state(params: ProtocolParams, channel: "ChannelParams") -> Su
     factors 1, e^{i sigma1}, e^{i sigma2}, or e^{i(sigma1+sigma2)} according to
     which analysis photons took the sigma path.
     """
-    alpha_prime, _ = _attenuation(params, channel)
+    alpha_prime, _ = attenuate(params.alpha, channel)
     r_env = params.alpha * math.sqrt(1.0 - channel.transmittance)
     phi = params.phi
 
@@ -238,6 +247,39 @@ def usd2_displacement(alpha_prime: float) -> complex:
     return complex(0.0, -alpha_prime)
 
 
+class Protocol(NamedTuple):
+    """One USD protocol: its name, ports per beam, and the port displacements.
+
+    displacements(|a'|, phi) gives one displacement per port.  With two ports
+    each beam is first split 50/50 against vacuum.  A success needs a click on
+    every port of both beams, a k-fold coincidence with k = 2 x ports.
+    """
+
+    name: str
+    ports: int
+    displacements: Callable[[float, float], tuple[complex, ...]]
+
+    @property
+    def n_fold(self) -> int:
+        return 2 * self.ports
+
+
+PROTOCOL_TABLE = (
+    Protocol("usd2", 1, lambda alpha_prime, phi: (usd2_displacement(alpha_prime),)),
+    Protocol("usd4", 2, usd4_displacements),
+)
+_BY_NAME = {p.name: p for p in PROTOCOL_TABLE}
+PROTOCOLS = tuple(_BY_NAME)
+
+
+def get_protocol(which: str) -> Protocol:
+    """The PROTOCOL_TABLE row named which; ValueError for any other name."""
+    try:
+        return _BY_NAME[which]
+    except KeyError:
+        raise ValueError(f"unknown protocol {which!r}, expected one of {PROTOCOLS}") from None
+
+
 def _detect(state: SuperposedState, detector_modes: tuple[str, ...], click_model: bool) -> float:
     """Probability that every detector mode registers.
 
@@ -260,65 +302,44 @@ def _detect(state: SuperposedState, detector_modes: tuple[str, ...], click_model
     return total
 
 
-def _usd4_prob(params: ProtocolParams, channel: "ChannelParams",
-               click_model: bool = False, displacement_phase: bool = True) -> float:
+def pipeline_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
+                  click_model: bool = False, displacement_phase: bool = True) -> float:
+    """Success probability of protocol which, evaluated by the operator pipeline.
+
+    Two-port protocols split each beam 50/50 against a vacuum mode first.
+    Displacements are applied port by port (A3, B3, then A4, B4) and the
+    detectors are read beam by beam (A3, A4, B3, B4).
+    """
+    protocol = get_protocol(which)
     state = build_analysis_state(params, channel)
-    state = add_mode(state, _VAC_A)
-    state = add_mode(state, _VAC_B)
-    state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_A, BEAM_1, OUT_A3, OUT_A4))
-    state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_B, BEAM_2, OUT_B3, OUT_B4))
-    alpha_prime, _ = _attenuation(params, channel)
-    left, right = usd4_displacements(alpha_prime, params.phi)
-    for mode in (OUT_A3, OUT_B3):
-        state = apply_displacement(state, mode, left, include_phase=displacement_phase)
-    for mode in (OUT_A4, OUT_B4):
-        state = apply_displacement(state, mode, right, include_phase=displacement_phase)
-    return _detect(state, (OUT_A3, OUT_A4, OUT_B3, OUT_B4), click_model)
+    if protocol.ports == 1:
+        ports = ((BEAM_1,), (BEAM_2,))
+    else:
+        state = add_mode(state, _VAC_A)
+        state = add_mode(state, _VAC_B)
+        state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_A, BEAM_1, OUT_A3, OUT_A4))
+        state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_B, BEAM_2, OUT_B3, OUT_B4))
+        ports = ((OUT_A3, OUT_A4), (OUT_B3, OUT_B4))
+    alpha_prime, _ = attenuate(params.alpha, channel)
+    for port, tau in enumerate(protocol.displacements(alpha_prime, params.phi)):
+        for beam_ports in ports:
+            state = apply_displacement(state, beam_ports[port], tau,
+                                       include_phase=displacement_phase)
+    return _detect(state, ports[0] + ports[1], click_model)
 
 
-def _usd2_prob(params: ProtocolParams, channel: "ChannelParams",
-               click_model: bool = False, displacement_phase: bool = True) -> float:
-    state = build_analysis_state(params, channel)
-    alpha_prime, _ = _attenuation(params, channel)
-    tau = usd2_displacement(alpha_prime)
-    state = apply_displacement(state, BEAM_1, tau, include_phase=displacement_phase)
-    state = apply_displacement(state, BEAM_2, tau, include_phase=displacement_phase)
-    return _detect(state, (BEAM_1, BEAM_2), click_model)
-
-
-def _report(prob_fn, params, channel, click_model, displacement_phase) -> RateReport:
+def protocol_report(params: ProtocolParams, channel: "ChannelParams", which: str) -> RateReport:
+    """Pipeline probabilities of protocol which at the configured and extremal settings."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         at_pi = replace(params, sigma1=math.pi, sigma2=0.0)
         at_zero = replace(params, sigma1=0.0, sigma2=0.0)
-    p_success = prob_fn(params, channel, click_model, displacement_phase)
-    p_max = prob_fn(at_pi, channel, click_model, displacement_phase)
-    p_min = prob_fn(at_zero, channel, click_model, displacement_phase)
+    p_success = pipeline_prob(params, channel, which)
+    p_max = pipeline_prob(at_pi, channel, which)
+    p_min = pipeline_prob(at_zero, channel, which)
     total = p_max + p_min
     vis = (p_max - p_min) / total if total > 0 else 0.0
     return RateReport(p_success, p_max, p_min, vis, SQRT8 * vis)
-
-
-def protocol_usd4(params: ProtocolParams, channel: "ChannelParams",
-                  click_model: bool = False, displacement_phase: bool = True) -> RateReport:
-    """Four-fold displaced-photon-counting protocol, evaluated by the operator pipeline."""
-    return _report(_usd4_prob, params, channel, click_model, displacement_phase)
-
-
-def protocol_usd2(params: ProtocolParams, channel: "ChannelParams",
-                  click_model: bool = False, displacement_phase: bool = True) -> RateReport:
-    """Two-fold displaced-photon-counting protocol, evaluated by the operator pipeline."""
-    return _report(_usd2_prob, params, channel, click_model, displacement_phase)
-
-
-def protocol_report(params: ProtocolParams, channel: "ChannelParams", which: str,
-                    click_model: bool = False) -> RateReport:
-    """Dispatch to protocol_usd2 or protocol_usd4 by name."""
-    if which == "usd2":
-        return protocol_usd2(params, channel, click_model)
-    if which == "usd4":
-        return protocol_usd4(params, channel, click_model)
-    raise ValueError(f"unknown protocol {which!r}, expected one of {PROTOCOLS}")
 
 
 def visibility(n_lost: float, phi: float, exact: bool = False) -> float:
@@ -334,33 +355,17 @@ def visibility(n_lost: float, phi: float, exact: bool = False) -> float:
     return math.exp(-4.0 * n_lost * arg)
 
 
-def _closed_form(power: int, alpha_prime: float, n_lost: float, phi: float,
-                 delta_sigma: float, exact_visibility: bool = True) -> float:
-    u = (alpha_prime * math.sin(phi)) ** 2
-    vis = visibility(n_lost, phi, exact=exact_visibility)
-    return u**power * math.exp(-8.0 * u) / 2.0 * (1.0 - vis * math.cos(delta_sigma))
-
-
-def usd4_success_prob(alpha_prime: float, n_lost: float, phi: float, delta_sigma: float,
-                      exact_visibility: bool = True) -> float:
-    """Closed-form four-fold success probability at analyzer phase difference delta_sigma."""
-    return _closed_form(4, alpha_prime, n_lost, phi, delta_sigma, exact_visibility)
-
-
-def usd2_success_prob(alpha_prime: float, n_lost: float, phi: float, delta_sigma: float,
-                      exact_visibility: bool = True) -> float:
-    """Closed-form two-fold success probability at analyzer phase difference delta_sigma."""
-    return _closed_form(2, alpha_prime, n_lost, phi, delta_sigma, exact_visibility)
-
-
 def success_prob(which: str, alpha_prime: float, n_lost: float, phi: float,
-                 delta_sigma: float, exact_visibility: bool = True) -> float:
-    """Closed-form success probability for either protocol."""
-    if which == "usd2":
-        return usd2_success_prob(alpha_prime, n_lost, phi, delta_sigma, exact_visibility)
-    if which == "usd4":
-        return usd4_success_prob(alpha_prime, n_lost, phi, delta_sigma, exact_visibility)
-    raise ValueError(f"unknown protocol {which!r}, expected one of {PROTOCOLS}")
+                 delta_sigma: float) -> float:
+    """Closed-form success probability u^k e^{-8u} (1 - V cos delta_sigma) / 2.
+
+    u = (|a'| sin phi)^2, V is the exact visibility and k is the protocol's
+    coincidence order.
+    """
+    k = get_protocol(which).n_fold
+    u = (alpha_prime * math.sin(phi)) ** 2
+    vis = visibility(n_lost, phi, exact=True)
+    return u**k * math.exp(-8.0 * u) / 2.0 * (1.0 - vis * math.cos(delta_sigma))
 
 
 def chsh_s(vis: float, angles: tuple[float, float, float, float] = CHSH_OPTIMAL_ANGLES) -> float:

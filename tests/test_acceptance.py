@@ -24,17 +24,15 @@ from catbell import (
     attenuate,
     max_range,
     monte_carlo_run,
-    oracle_protocol_prob,
+    pipeline_prob,
     protocol_report,
-    recommended_dim,
     success_prob,
 )
-from catbell.protocols import _usd2_prob, _usd4_prob
+from catbell.fock import oracle_protocol_prob, recommended_dim
 
 LINK_140 = ChannelParams(0.15, 70.0)
 LINK_400 = ChannelParams(0.15, 200.0)
 REF = ProtocolParams(100.0, 0.0028)
-PIPELINES = {"usd2": _usd2_prob, "usd4": _usd4_prob}
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -94,7 +92,7 @@ def test_criterion_04_closed_form_equivalence():
             continue
         alpha = math.sqrt(ap * ap + nl)
         params = ProtocolParams(alpha, phi, s1, s2)
-        pipeline = PIPELINES[which](params, channel_for(alpha, ap, 0.17))
+        pipeline = pipeline_prob(params, channel_for(alpha, ap, 0.17), which)
         worst = max(worst, abs(pipeline - closed) / closed)
         used += 1
     _verdict(4, used >= 90 and worst <= 1e-10,
@@ -114,7 +112,7 @@ def test_criterion_05_fock_oracle_agreement():
         alpha = math.sqrt(ap * ap + nl)
         params = ProtocolParams(alpha, phi, delta, 0.0)
         channel = channel_for(alpha, ap, 0.2)
-        pipeline = PIPELINES[which](params, channel)
+        pipeline = pipeline_prob(params, channel, which)
         oracle = oracle_protocol_prob(params, channel, which)
         worst = max(worst, abs(pipeline - oracle))
 
@@ -139,7 +137,7 @@ def test_criterion_06_small_phase_scaling():
     slopes = {}
     for which, target in (("usd2", 4.0), ("usd4", 8.0)):
         probs = [
-            PIPELINES[which](ProtocolParams(alpha, phi, math.pi, 0.0), lossless)
+            pipeline_prob(ProtocolParams(alpha, phi, math.pi, 0.0), lossless, which)
             for phi in phis
         ]
         slopes[which] = float(np.polyfit(np.log(phis), np.log(probs), 1)[0])
@@ -241,8 +239,8 @@ def test_criterion_10_displacement_phase_invariance():
     for which in ("usd2", "usd4"):
         for channel in (LINK_140, LINK_400):
             params = ProtocolParams(100.0, 0.0028, 1.0, 0.3)
-            with_phase = PIPELINES[which](params, channel, displacement_phase=True)
-            without = PIPELINES[which](params, channel, displacement_phase=False)
+            with_phase = pipeline_prob(params, channel, which, displacement_phase=True)
+            without = pipeline_prob(params, channel, which, displacement_phase=False)
             worst = max(worst, abs(with_phase - without) / with_phase)
     _verdict(10, worst <= 1e-12,
              "detection probabilities with and without displacement phase "

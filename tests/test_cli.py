@@ -372,6 +372,20 @@ def test_montecarlo_bins_out_draws_each_block_once(tmp_path, monkeypatch):
     assert drawn == [0, 1, 2, 3, 4, 5]
 
 
+def test_montecarlo_bins_out_unwritable(tmp_path, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(experiment, "_block_counts", lambda *args: drawn.append(args))
+    target = tmp_path / "missing" / "bins.csv"
+    code, out = run_cli(["montecarlo", "--duration-s", "3", "--bins-out", str(target)])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --bins-out {str(target)!r}")
+    assert "Traceback" not in err
+    assert drawn == []
+    assert not target.parent.exists()
+
+
 def test_montecarlo_zero_duration(capsys):
     code, out = run_cli(["montecarlo", "--duration-s", "0", "--output", "json"])
     assert code == 0
@@ -396,6 +410,17 @@ def test_module_subprocess():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["r_max_per_s"] - 5.3) / 5.3 < 0.02
+
+
+def test_cli_import_loads_no_scipy():
+    # Only the oracle needs SciPy; every other command must start without it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catbell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(

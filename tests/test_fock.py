@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from catbell import (
+from catbell import ProtocolParams, pipeline_prob, success_prob
+from catbell.fock import (
     MAX_ORACLE_AMPLITUDE,
+    TAIL_TOLERANCE,
     OracleBudgetError,
-    ProtocolParams,
     TruncationError,
     TwoModeFock,
     beamsplitter_fock,
@@ -18,10 +19,7 @@ from catbell import (
     displace_two_mode,
     oracle_protocol_prob,
     recommended_dim,
-    success_prob,
 )
-from catbell.fock import TAIL_TOLERANCE
-from catbell.protocols import _usd2_prob, _usd4_prob
 from conftest import channel_for
 
 
@@ -143,7 +141,7 @@ def test_oracle_budget_guard():
 
 
 def test_oracle_unknown_protocol():
-    with pytest.raises(ValueError, match="unknown protocol"):
+    with pytest.raises(ValueError, match=r"unknown protocol 'usd3', expected one of"):
         oracle_protocol_prob(ProtocolParams(1.0, 0.1), channel_for(1.0, 1.0), "usd3")
 
 
@@ -173,7 +171,7 @@ def test_oracle_agrees_with_pipeline_at_random_points():
         params = ProtocolParams(alpha, phi, s1, s2)
         ch = channel_for(alpha, ap)
         p_oracle = oracle_protocol_prob(params, ch, which)
-        p_pipe = (_usd2_prob if which == "usd2" else _usd4_prob)(params, ch)
+        p_pipe = pipeline_prob(params, ch, which)
         assert abs(p_oracle - p_pipe) < 1e-8
 
 

@@ -10,17 +10,15 @@ from hypothesis import given, settings, strategies as st
 from catbell import (
     BeamSplitterSpec,
     LossSpec,
-    TwoModeFock,
     apply_beam_splitter,
     apply_displacement,
     apply_loss,
     apply_loss_chain,
     apply_phase,
-    beamsplitter_fock,
-    coherent_fock,
     make_state,
     overlap,
 )
+from catbell.fock import TwoModeFock, beamsplitter_fock, coherent_fock
 
 amp = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=3.0)
 

@@ -9,21 +9,22 @@ import pytest
 from catbell import (
     CHSH_OPTIMAL_ANGLES,
     ChannelParams,
+    DetectorSpec,
     ProtocolParams,
     build_analysis_state,
     build_source_state,
     chsh_s,
     compose_analysis_state,
     inner_product,
+    monte_carlo_blocks,
+    pipeline_prob,
     protocol_report,
-    protocol_usd2,
-    protocol_usd4,
     success_prob,
     usd2_displacement,
     usd4_displacements,
     visibility,
 )
-from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B, _usd2_prob, _usd4_prob
+from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B
 from conftest import channel_for, coherent_series
 
 LINK_140 = ChannelParams(0.15, 70.0)
@@ -105,7 +106,7 @@ def test_direct_equals_compositional_construction():
 
 
 def test_usd4_reference_point():
-    report = protocol_usd4(REF, LINK_140)
+    report = protocol_report(REF, LINK_140, "usd4")
     assert abs(report.p_max - 1.97e-9) / 1.97e-9 < 0.02
     assert abs(report.p_min - 0.28e-9) / 0.28e-9 < 0.02
     assert abs(report.visibility - 0.75) < 0.005
@@ -116,7 +117,7 @@ def test_usd4_reference_point():
 
 
 def test_usd2_reference_point():
-    report = protocol_usd2(REF, LINK_400)
+    report = protocol_report(REF, LINK_400, "usd2")
     assert abs(report.p_max - 5.3e-9) / 5.3e-9 < 0.02
     assert abs(report.p_min - 0.83e-9) / 0.83e-9 < 0.02
     assert abs(report.visibility - 0.73) < 0.005
@@ -130,8 +131,8 @@ def test_usd2_reference_point():
 
 def test_zero_phase_detects_nothing():
     params = ProtocolParams(50.0, 0.0)
-    for which, fn in (("usd2", protocol_usd2), ("usd4", protocol_usd4)):
-        report = fn(params, LINK_140)
+    for which in ("usd2", "usd4"):
+        report = protocol_report(params, LINK_140, which)
         assert report.p_success == 0.0
         assert report.p_max == 0.0
         assert success_prob(which, 10.0, 5.0, 0.0, math.pi) == 0.0
@@ -149,7 +150,7 @@ def test_pipeline_matches_closed_form():
         params = ProtocolParams(alpha, phi, s1, s2)
         ch = channel_for(alpha, ap, loss_db_per_km=0.17)
         closed = success_prob(which, ap, nl, phi, s1 - s2)
-        pipe = (_usd2_prob if which == "usd2" else _usd4_prob)(params, ch)
+        pipe = pipeline_prob(params, ch, which)
         if closed < 1e-280:
             continue  # both sides in denormal territory
         assert abs(pipe - closed) / closed < 1e-10
@@ -178,8 +179,8 @@ def test_visibility_independent_of_surviving_amplitude():
     for ap in (1.0, 3.0, 10.0, 30.0):
         alpha = math.sqrt(ap * ap + nl)
         ch = channel_for(alpha, ap)
-        rep2 = protocol_usd2(ProtocolParams(alpha, phi), ch)
-        rep4 = protocol_usd4(ProtocolParams(alpha, phi), ch)
+        rep2 = protocol_report(ProtocolParams(alpha, phi), ch, "usd2")
+        rep4 = protocol_report(ProtocolParams(alpha, phi), ch, "usd4")
         assert abs(rep2.visibility - rep4.visibility) < 1e-12
         values.append(rep2.visibility)
     for v in values[1:]:
@@ -224,8 +225,8 @@ def test_click_model_deviation_small_and_shrinking():
 
     def rel_dev(ap):
         params = ProtocolParams(ap, 0.1, math.pi, 0.0)
-        default = _usd2_prob(params, ch, click_model=False)
-        click = _usd2_prob(params, ch, click_model=True)
+        default = pipeline_prob(params, ch, "usd2", click_model=False)
+        click = pipeline_prob(params, ch, "usd2", click_model=True)
         return abs(click - default) / default
 
     bound = 4.0 * (0.5 * math.sin(0.1)) ** 2
@@ -241,7 +242,12 @@ def test_params_validation():
 
 
 def test_unknown_protocol_rejected():
-    with pytest.raises(ValueError, match="unknown protocol"):
+    message = r"unknown protocol 'usd3', expected one of \('usd2', 'usd4'\)"
+    with pytest.raises(ValueError, match=message):
         protocol_report(REF, LINK_140, "usd3")
-    with pytest.raises(ValueError, match="unknown protocol"):
+    with pytest.raises(ValueError, match=message):
+        pipeline_prob(REF, LINK_140, "usd3")
+    with pytest.raises(ValueError, match=message):
         success_prob("usd3", 1.0, 0.0, 0.1, 0.0)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_blocks(REF, LINK_140, DetectorSpec(), 3.0, 1, "usd3", 1e9)
