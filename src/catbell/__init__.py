@@ -27,9 +27,7 @@ from .optics import (
     LossSpec,
     apply_beam_splitter,
     apply_loss,
-    apply_loss_chain,
     apply_displacement,
-    apply_phase,
 )
 from .protocols import (
     PROTOCOLS,
@@ -87,9 +85,7 @@ __all__ = [
     "LossSpec",
     "apply_beam_splitter",
     "apply_loss",
-    "apply_loss_chain",
     "apply_displacement",
-    "apply_phase",
     "PROTOCOLS",
     "PROTOCOL_TABLE",
     "CHSH_OPTIMAL_ANGLES",

@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import make_dataclass, replace
 from typing import NamedTuple
@@ -383,14 +384,20 @@ def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
         bins = None if bins_out is None else open(bins_out, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write --bins-out {bins_out!r}: {exc}") from None
-    with bins or contextlib.nullcontext():
-        blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
-                                               cfg.protocol, cfg.source_rate_hz)
-        if bins is not None:
-            writer = csv.writer(bins, lineterminator="\n")
-            writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
-            for index, t_start, c_max, c_min in blocks:
-                writer.writerow([index, _fmt_machine(float(t_start)), c_max, c_min])
+    try:
+        with bins or contextlib.nullcontext():
+            blocks = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s,
+                                                   cfg.seed, cfg.protocol, cfg.source_rate_hz)
+            if bins is not None:
+                writer = csv.writer(bins, lineterminator="\n")
+                writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
+                for index, t_start, c_max, c_min in blocks:
+                    writer.writerow([index, _fmt_machine(float(t_start)), c_max, c_min])
+    except BaseException:
+        # A refused session leaves no partial file; a device such as /dev/stdout stays.
+        if bins is not None and os.path.isfile(bins_out):
+            os.remove(bins_out)
+        raise
     result = experiment.RunResult.from_blocks(blocks, cfg.seed)
     no_counts = result.counts_max + result.counts_min == 0
     if no_counts:

@@ -94,23 +94,6 @@ def apply_loss(state: SuperposedState, spec: LossSpec) -> SuperposedState:
     return SuperposedState(state.modes + (spec.environment,), tuple(branches))
 
 
-def apply_loss_chain(state: SuperposedState, signal: str, transmittance: float,
-                     segments: int, environment_prefix: str) -> SuperposedState:
-    """Apply loss as a chain of equal segments with total transmittance.
-
-    Validates the single-beam-splitter loss model: the signal amplitude after
-    N segments of per-segment transmittance eta^(1/N) equals the single-step
-    sqrt(eta) result; only the bookkeeping of environment modes differs.
-    """
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    per_segment = transmittance ** (1.0 / segments)
-    out = state
-    for k in range(segments):
-        out = apply_loss(out, LossSpec(per_segment, signal, f"{environment_prefix}{k}"))
-    return out
-
-
 def apply_displacement(state: SuperposedState, mode: str, tau: complex,
                        include_phase: bool = True) -> SuperposedState:
     """Displace a mode by tau: amplitudes shift nu -> nu + tau.
@@ -131,19 +114,6 @@ def apply_displacement(state: SuperposedState, mode: str, tau: complex,
         amps = dict(b.amps)
         amps[mode] = nu + tau
         branches.append(Branch(coeff, amps))
-    return SuperposedState(state.modes, tuple(branches))
-
-
-def apply_phase(state: SuperposedState, mode: str, theta: float) -> SuperposedState:
-    """Rotate a mode's amplitudes by exp(i*theta) in every branch."""
-    if mode not in state.modes:
-        raise ValueError(f"mode {mode!r} not in registry {state.modes}")
-    rot = cmath.exp(1j * theta)
-    branches = []
-    for b in state.branches:
-        amps = dict(b.amps)
-        amps[mode] = rot * amps[mode]
-        branches.append(Branch(b.coeff, amps))
     return SuperposedState(state.modes, tuple(branches))
 
 

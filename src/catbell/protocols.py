@@ -23,10 +23,12 @@ The two differ only in the ports per beam (1 or 2) and the displacement of
 each port, so each is one ``Protocol`` row of ``PROTOCOL_TABLE``; the
 coincidence order k = 2 x ports follows.  Every consumer (pipeline, closed
 form, Fock oracle, accidentals, CLI) looks a name up with ``get_protocol``.
-Each protocol is evaluated two ways: an operator pipeline built from the
-branch algebra in states/optics (``pipeline_prob``), and the closed form
-u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``).  The two routes
-must agree and the tests enforce that.
+The closed form u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``)
+serves every rate: ``protocol_report``, and through it the CLI's rates,
+sweep and montecarlo, and the planners.  The operator pipeline built from
+the branch algebra in states/optics (``pipeline_prob``) and the Fock oracle
+in ``catbell.fock`` only verify it: ``catbell oracle`` and the tests
+evaluate them and require agreement.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -78,10 +80,14 @@ class ProtocolParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ValueError(f"alpha must have a finite square (mean photon number), "
+                             f"got {self.alpha}")
         if abs(self.phi) >= math.pi / 4:
+            # 1 is this method, 2 the dataclass __init__, 3 the caller of ProtocolParams(...)
             warnings.warn(
                 f"phi = {self.phi} is outside the small-phase protocol regime (|phi| < pi/4)",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -329,14 +335,20 @@ def pipeline_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
 
 
 def protocol_report(params: ProtocolParams, channel: "ChannelParams", which: str) -> RateReport:
-    """Pipeline probabilities of protocol which at the configured and extremal settings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        at_pi = replace(params, sigma1=math.pi, sigma2=0.0)
-        at_zero = replace(params, sigma1=0.0, sigma2=0.0)
-    p_success = pipeline_prob(params, channel, which)
-    p_max = pipeline_prob(at_pi, channel, which)
-    p_min = pipeline_prob(at_zero, channel, which)
+    """Closed-form probabilities of protocol which at the configured and extremal settings.
+
+    p_success is taken at delta_sigma = sigma1 - sigma2, the pipeline's sign
+    convention.  Analyzer phases so large that the difference overflows are
+    combined through their sines and cosines instead.
+    """
+    alpha_prime, n_lost = attenuate(params.alpha, channel)
+    s1, s2 = params.sigma1, params.sigma2
+    delta_sigma = s1 - s2
+    if math.isinf(delta_sigma):
+        delta_sigma = math.atan2(math.sin(s1) * math.cos(s2) - math.cos(s1) * math.sin(s2),
+                                 math.cos(s1) * math.cos(s2) + math.sin(s1) * math.sin(s2))
+    p_success, p_max, p_min = (success_prob(which, alpha_prime, n_lost, params.phi, dsig)
+                               for dsig in (delta_sigma, math.pi, 0.0))
     total = p_max + p_min
     vis = (p_max - p_min) / total if total > 0 else 0.0
     return RateReport(p_success, p_max, p_min, vis, SQRT8 * vis)
@@ -352,7 +364,8 @@ def visibility(n_lost: float, phi: float, exact: bool = False) -> float:
     if n_lost < 0:
         raise ValueError(f"n_lost must be non-negative, got {n_lost}")
     arg = math.sin(phi) ** 2 if exact else phi * phi
-    return math.exp(-4.0 * n_lost * arg)
+    # n_lost * arg first: 4 * n_lost may overflow, and inf * 0 at phi = 0 is nan
+    return math.exp(-4.0 * (n_lost * arg))
 
 
 def success_prob(which: str, alpha_prime: float, n_lost: float, phi: float,
@@ -364,8 +377,11 @@ def success_prob(which: str, alpha_prime: float, n_lost: float, phi: float,
     """
     k = get_protocol(which).n_fold
     u = (alpha_prime * math.sin(phi)) ** 2
+    decay = math.exp(-8.0 * u)
+    if decay == 0.0:
+        return 0.0  # before u**k, which overflows for u large enough to underflow decay
     vis = visibility(n_lost, phi, exact=True)
-    return u**k * math.exp(-8.0 * u) / 2.0 * (1.0 - vis * math.cos(delta_sigma))
+    return u**k * decay / 2.0 * (1.0 - vis * math.cos(delta_sigma))
 
 
 def chsh_s(vis: float, angles: tuple[float, float, float, float] = CHSH_OPTIMAL_ANGLES) -> float:

@@ -12,11 +12,12 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catbell import cli, experiment
+from catbell import cli, experiment, protocols
 
 RATES_KEYS = {
     "protocol", "alpha", "phi_rad", "sigma1_rad", "sigma2_rad",
@@ -149,13 +150,93 @@ def test_non_finite_numbers_rejected(field, text, via, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["rates", "--alpha", "1e200"],
-    ["rates", "--phi-rad", "1e308"],
-    ["rates", "--protocol", "usd4", "--distance-km-total", "0"],
+    # the branch pipeline behind oracle cannot form e^{2i phi} at phi = 1e308
+    ["oracle", "--phi-rad", "1e308", "--alpha", "2", "--distance-km-total", "0"],
+    ["montecarlo", "--coincidence-window-s", "1"],
 ])
 def test_model_layer_errors_exit_1(argv, capsys):
-    assert run_cli(argv)[0] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-phase warning of phi = 1e308
+        assert run_cli(argv)[0] == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_usd4_at_zero_km_serves():
+    # No loss: the visibility is exactly 1 and the fringe minimum exactly 0.
+    code, out = run_cli(["rates", "--protocol", "usd4", "--distance-km-total", "0",
+                         "--output", "json"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["p_min"] == 0.0 and record["r_min_per_s"] == 0.0
+    assert record["visibility"] == 1 and record["p_max"] > 0.0
+    code, out = run_cli(["sweep", "--protocol", "usd4", "--axis", "distance_km_total",
+                         "--start", "0", "--stop", "10", "--steps", "3", "--output", "csv"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["p_min"] == "0" and rows[0]["visibility"] == "1"
+    code, out = run_cli(["montecarlo", "--protocol", "usd4", "--distance-km-total", "0",
+                         "--duration-s", "3", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["counts_max"] > 0
+
+
+def test_rates_huge_phi_serves_with_warning():
+    with pytest.warns(UserWarning, match="small-phase") as record:
+        code, out = run_cli(["rates", "--phi-rad", "1e308", "--output", "json"])
+    assert code == 0
+    assert record[0].filename == cli.__file__
+    report = json.loads(out)
+    assert 0.0 <= report["p_min"] <= report["p_max"] <= 1.0
+
+
+def test_rates_underflowing_envelope_is_zero():
+    # u = (|a'| sin phi)^2 ~ 8e114: e^{-8u} underflows to 0 and u^4 would overflow.
+    code, out = run_cli(["rates", "--alpha", "1e60", "--distance-km-total", "0",
+                         "--protocol", "usd4", "--output", "json"])
+    assert code == 0
+    record = json.loads(out)
+    for key in ("p_success", "p_max", "p_min", "visibility", "chsh_s",
+                "r_success_per_s", "r_max_per_s", "r_min_per_s"):
+        assert record[key] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--alpha", "1e200"],
+    ["plan", "--alpha", "1e200"],
+    ["montecarlo", "--alpha", "1e200", "--duration-s", "2"],
+    ["sweep", "--axis", "alpha", "--start", "1", "--stop", "2e154", "--steps", "3"],
+])
+def test_alpha_with_infinite_square_names_alpha(argv, capsys):
+    assert run_cli(argv) == (1, "")
+    err = capsys.readouterr().err
+    prefix = "error: sweep value 2e+154: " if argv[0] == "sweep" else "error: source: "
+    assert err.startswith(prefix + "alpha must have a finite square")
+
+
+def test_rates_sweep_montecarlo_build_no_branch_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the serving path built a branch state")
+
+    monkeypatch.setattr(protocols, "build_analysis_state", refuse)
+    assert run_cli(["rates", "--protocol", "usd4", "--output", "json"])[0] == 0
+    for axis in cli.SWEEP_AXES:
+        assert run_cli(["sweep", "--protocol", "usd4", "--axis", axis, "--start", "0.001",
+                        "--stop", "0.5", "--steps", "3", "--output", "csv"])[0] == 0
+    assert run_cli(["montecarlo", "--duration-s", "2", "--output", "json"])[0] == 0
+
+
+def test_oracle_evaluates_pipeline_and_fock(monkeypatch):
+    from catbell import fock
+
+    calls = []
+    for module, name in ((cli, "pipeline_prob"), (fock, "oracle_protocol_prob")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli(["oracle", "--alpha", "2", "--distance-km-total", "0"])[0] == 0
+    assert sorted(calls) == ["oracle_protocol_prob"] * 6 + ["pipeline_prob"] * 6
 
 
 def test_negative_seed_names_field(capsys):
@@ -384,6 +465,15 @@ def test_montecarlo_bins_out_unwritable(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert drawn == []
     assert not target.parent.exists()
+
+
+def test_montecarlo_refused_session_leaves_no_file(tmp_path, capsys):
+    target = tmp_path / "bins.csv"
+    code, out = run_cli(["montecarlo", "--coincidence-window-s", "1",
+                         "--bins-out", str(target)])
+    assert code == 1 and out == ""
+    assert "coincidence window" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_montecarlo_zero_duration(capsys):

@@ -1,4 +1,4 @@
-"""Linear-optical elements: beam splitter, displacement, loss, phase."""
+"""Linear-optical elements: beam splitter, displacement, loss; the source phases."""
 
 import cmath
 import math
@@ -13,8 +13,6 @@ from catbell import (
     apply_beam_splitter,
     apply_displacement,
     apply_loss,
-    apply_loss_chain,
-    apply_phase,
     make_state,
     overlap,
 )
@@ -178,17 +176,6 @@ def test_loss_composition_matches_product_transmittance():
     assert abs(out.branches[0].amps["s"] - math.sqrt(0.3) * nu) < 1e-14
 
 
-def test_loss_chain_signal_matches_single_step():
-    nu = 2.2 - 0.5j
-    eta = 0.123
-    single = apply_loss(make_state(("s",), [(1.0, {"s": nu})]), LossSpec(eta, "s", "e"))
-    chained = apply_loss_chain(make_state(("s",), [(1.0, {"s": nu})]), "s", eta, 7, "seg")
-    assert abs(chained.branches[0].amps["s"] - single.branches[0].amps["s"]) < 1e-12
-    assert len(chained.modes) == 8
-    with pytest.raises(ValueError, match="segments"):
-        apply_loss_chain(single, "s", eta, 0, "seg")
-
-
 def test_loss_validation():
     with pytest.raises(ValueError, match="transmittance"):
         LossSpec(-0.1, "s", "e")
@@ -202,25 +189,14 @@ def test_loss_validation():
         apply_loss(grown, LossSpec(0.5, "s", "e"))
 
 
-def test_phase_shift():
-    nu = 0.9 + 0.4j
-    state = make_state(("m",), [(1.0, {"m": nu})])
-    assert apply_phase(state, "m", 0.0).branches[0].amps["m"] == nu
-    flipped = apply_phase(state, "m", math.pi)
-    assert abs(flipped.branches[0].amps["m"] + nu) < 1e-15
-    ov = overlap(nu, flipped.branches[0].amps["m"])
-    assert math.isclose(abs(ov), math.exp(-2.0 * abs(nu) ** 2), rel_tol=1e-12)
-    with pytest.raises(ValueError, match="not in registry"):
-        apply_phase(state, "zz", 1.0)
-
-
 def test_conditional_phase_builds_source_amplitudes():
     from catbell import build_source_state
     from catbell.protocols import BEAM_1, BEAM_2, ProtocolParams
 
     alpha, phi = 2.5, 0.21
-    base = make_state((BEAM_1, BEAM_2), [(1.0, {BEAM_1: alpha + 0j, BEAM_2: alpha + 0j})])
-    rotated = apply_phase(apply_phase(base, BEAM_1, phi), BEAM_2, -phi)
+    plus, minus = alpha * cmath.exp(1j * phi), alpha * cmath.exp(-1j * phi)
     source = build_source_state(ProtocolParams(alpha, phi))
-    assert abs(rotated.branches[0].amps[BEAM_1] - source.branches[0].amps[BEAM_1]) < 1e-14
-    assert abs(rotated.branches[0].amps[BEAM_2] - source.branches[0].amps[BEAM_2]) < 1e-14
+    # the phase-swapped branches carry +-phi on opposite beams, with equal weight
+    assert [(b.amps[BEAM_1], b.amps[BEAM_2]) for b in source.branches] == [(plus, minus),
+                                                                          (minus, plus)]
+    assert source.branches[0].coeff == source.branches[1].coeff

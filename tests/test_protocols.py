@@ -2,12 +2,16 @@
 
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catbell import (
     CHSH_OPTIMAL_ANGLES,
+    PROTOCOLS,
     ChannelParams,
     DetectorSpec,
     ProtocolParams,
@@ -26,6 +30,7 @@ from catbell import (
 )
 from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B
 from conftest import channel_for, coherent_series
+from reference import reference_probs
 
 LINK_140 = ChannelParams(0.15, 70.0)
 LINK_400 = ChannelParams(0.15, 200.0)
@@ -156,10 +161,55 @@ def test_pipeline_matches_closed_form():
         assert abs(pipe - closed) / closed < 1e-10
 
 
+@pytest.mark.parametrize("which, channel", [("usd4", LINK_140), ("usd2", LINK_400)])
+def test_pipeline_pins_served_extremes_at_paper_links(which, channel):
+    # The reference-point tests read the served closed form; this keeps the
+    # branch pipeline's own numbers pinned at the same two links.
+    report = protocol_report(REF, channel, which)
+    for sigma1, served in ((math.pi, report.p_max), (0.0, report.p_min)):
+        pipe = pipeline_prob(ProtocolParams(REF.alpha, REF.phi, sigma1, 0.0), channel, which)
+        assert abs(pipe - served) <= 1e-10 * served
+
+
+def test_served_delta_sigma_sign_and_overflow():
+    # p_success is taken at sigma1 - sigma2, as in the pipeline; a difference
+    # that overflows is formed from the phases' sines and cosines.
+    for s1, s2 in ((0.4, 1.9), (1e308, -1e308), (-1.7e308, 1.5e308)):
+        params = ProtocolParams(REF.alpha, REF.phi, s1, s2)
+        served = protocol_report(params, LINK_400, "usd2")
+        p_ref, p_max, _, _ = reference_probs("usd2", REF.alpha, REF.phi, 0.15, 400.0,
+                                             mpmath.mpf(s1) - mpmath.mpf(s2))
+        assert abs(served.p_success - p_ref) <= 1e-12 * p_max
+    pipe = pipeline_prob(ProtocolParams(REF.alpha, REF.phi, 1e308, -1e308), LINK_400, "usd2")
+    served = protocol_report(ProtocolParams(REF.alpha, REF.phi, 1e308, -1e308), LINK_400, "usd2")
+    assert abs(pipe - served.p_success) <= 1e-10 * served.p_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(PROTOCOLS),
+       alpha=st.floats(1.0, 300.0),
+       phi=st.floats(1e-4, 0.3),
+       distance=st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
+       delta_sigma=st.floats(0.0, 2 * math.pi))
+def test_served_report_matches_50_digit_referee(which, alpha, phi, distance, delta_sigma):
+    report = protocol_report(ProtocolParams(alpha, phi, delta_sigma, 0.0),
+                             ChannelParams.from_total(0.15, distance), which)
+    p_ref, p_max, p_min, _ = reference_probs(which, alpha, phi, 0.15, distance, delta_sigma)
+    # Below the smallest normal float the envelope u^k e^{-8u} loses its
+    # relative precision (and underflows to 0), so the bound gains that floor.
+    tol = 1e-12 * p_max + sys.float_info.min
+    for served, ref in ((report.p_success, p_ref), (report.p_max, p_max), (report.p_min, p_min)):
+        assert abs(served - ref) <= tol
+        assert 0.0 <= served <= 1.0
+    assert 0.0 <= report.visibility <= 1.0
+    assert report.chsh_s <= 2.0 * math.sqrt(2.0)
+
+
 def test_visibility_reference_values():
     assert abs(visibility(9108.75, 0.0028) - 0.7515) < 1e-4
     assert abs(visibility(9990.0, 0.0028) - 0.7308) < 5e-4
     assert visibility(0.0, 0.7) == 1.0
+    assert visibility(1e308, 0.0, exact=True) == 1.0  # 4 * n_lost overflows; no inf * 0
     with pytest.raises(ValueError, match="non-negative"):
         visibility(-1.0, 0.1)
 
@@ -237,8 +287,12 @@ def test_click_model_deviation_small_and_shrinking():
 def test_params_validation():
     with pytest.raises(ValueError, match="alpha"):
         ProtocolParams(0.0, 0.1)
-    with pytest.warns(UserWarning, match="small-phase"):
+    with pytest.raises(ValueError, match="alpha must have a finite square"):
+        ProtocolParams(1.35e154, 0.1)
+    ProtocolParams(1.34e154, 0.1)  # alpha^2 = 1.8e308 is still a float
+    with pytest.warns(UserWarning, match="small-phase") as record:
         ProtocolParams(1.0, 1.0)
+    assert record[0].filename == __file__
 
 
 def test_unknown_protocol_rejected():
