@@ -283,6 +283,9 @@ def cmd_sweep(cfg: RunConfig, stream) -> int:
             value = cfg.start
         else:
             value = cfg.start + (cfg.stop - cfg.start) * i / (cfg.steps - 1)
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.start/sweep.stop: the sweep from {cfg.start} to "
+                              f"{cfg.stop} overflows at step {i} of {cfg.steps}")
         params, channel = base_params, base_channel
         try:
             if axis == "delta_sigma_rad":

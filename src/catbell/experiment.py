@@ -177,9 +177,11 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
     last_ok = None
     first_bad = None
     prev_rate = None
+    rate_met = False
     d = 0.0
     while d <= MAX_SEARCH_KM_TOTAL:
         rate, vis = _rate_and_visibility(params, loss_db_per_km, d, source_rate_hz, which)
+        rate_met = rate_met or rate >= rate_floor
         if rate >= rate_floor and vis > BELL_VISIBILITY_THRESHOLD:
             last_ok = d
             first_bad = None
@@ -190,7 +192,7 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
         prev_rate = rate
         d += 1.0
     if last_ok is None:
-        return RangeResult(None, False, "rate")
+        return RangeResult(None, False, "visibility" if rate_met else "rate")
     if first_bad is None:
         first_bad = min(last_ok + 1.0, MAX_SEARCH_KM_TOTAL)
 

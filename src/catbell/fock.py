@@ -3,12 +3,12 @@
 Brute-force number-basis machinery used to cross-check the branch algebra.  It
 shares no detection formulas with the analytic path: displacements are exact
 matrix exponentials of the truncated generator tau*adag - conj(tau)*a (not the
-coherent-overlap recursion), beam splitters are two-mode number-basis
-unitaries, and single-photon amplitudes are read off as the n = 1 component of
-the evolved vector.  Amplitudes must stay small (the truncation budget grows
-as |nu|^2), which is all the cross-checks need.  This is the only module that
-needs SciPy; ``import catbell`` does not load it, so import it as
-``catbell.fock``.
+coherent-overlap recursion), beam splitters exponentiate the truncated two-mode
+generator one block of fixed n1 + n2 at a time, and single-photon amplitudes
+are read off as the n = 1 component of the evolved vector.  Amplitudes must
+stay small (the truncation budget grows as |nu|^2), which is all the
+cross-checks need.  This is the only module that needs SciPy; ``import
+catbell`` does not load it, so import it as ``catbell.fock``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix, identity, kron
-from scipy.sparse.linalg import expm_multiply
+# Unused here; perfbench/tracing.py patches catbell.fock.expm_multiply by name.
+from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .protocols import (
     BEAM_1,
@@ -77,20 +77,12 @@ class FockVector:
     def norm2(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
-    def norm_deficit(self) -> float:
-        """Truncation loss 1 - norm2, clipped at 0 (rounding can overshoot)."""
-        return max(0.0, 1.0 - self.norm2())
-
 
 @dataclass(frozen=True)
 class TwoModeFock:
     """Two-mode state as a (dim1, dim2) grid of number-basis coefficients."""
 
     grid: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.grid.shape
 
     def norm2(self) -> float:
         return float(np.vdot(self.grid, self.grid).real)
@@ -113,13 +105,10 @@ def coherent_fock(nu: complex, dim: int) -> FockVector:
     return FockVector(c)
 
 
-def _lowering(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-
-
-@lru_cache(maxsize=128)
+# Holds one oracle call's keys: every call brings fresh taus, so older ones never hit.
+@lru_cache(maxsize=8)
 def _displacement_matrix(tau: complex, dim: int) -> np.ndarray:
-    a = _lowering(dim)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
     return expm(tau * a.conj().T - tau.conjugate() * a)
 
 
@@ -140,14 +129,29 @@ def displace_fock(v: FockVector, tau: complex) -> FockVector:
     return FockVector(out)
 
 
+@lru_cache(maxsize=512)
+def _bs_block(theta: float, n: int, lo: int, hi: int) -> np.ndarray:
+    """exp(theta (adag b - a bdag)) on the states (k, n - k), k = lo .. hi, via eigh of i*G."""
+    k = np.arange(lo, hi)
+    off = theta * np.sqrt((k + 1.0) * (n - k))
+    w, v = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+    # .real is a view that would keep the complex product alive in the cache
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real.copy()
+
+
 @lru_cache(maxsize=32)
-def _bs_generator(theta: float, dim1: int, dim2: int) -> csr_matrix:
-    a1 = csr_matrix(np.diag(np.sqrt(np.arange(1.0, dim1)), 1))
-    a2 = csr_matrix(np.diag(np.sqrt(np.arange(1.0, dim2)), 1))
-    i1 = identity(dim1, format="csr")
-    i2 = identity(dim2, format="csr")
-    adag_b = kron(a1.conj().T, i2) @ kron(i1, a2)
-    return (theta * (adag_b - adag_b.conj().T)).tocsr()
+def _bs_generator(theta: float, dim1: int, dim2: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Beam-splitter unitary on the (dim1, dim2) box as (flat indices, block) per n1 + n2.
+
+    The generator conserves n1 + n2, also inside the truncated box, so the
+    unitary is block-diagonal (the SU(2) structure of a lossless splitter).
+    """
+    blocks = []
+    for n in range(dim1 + dim2 - 1):
+        lo, hi = max(0, n - dim2 + 1), min(n, dim1 - 1)
+        k = np.arange(lo, hi + 1)
+        blocks.append((k * dim2 + (n - k), _bs_block(theta, n, lo, hi)))
+    return blocks
 
 
 def beamsplitter_fock(tm: TwoModeFock, reflectivity: float) -> TwoModeFock:
@@ -159,9 +163,11 @@ def beamsplitter_fock(tm: TwoModeFock, reflectivity: float) -> TwoModeFock:
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
     d1, d2 = tm.grid.shape
-    gen = _bs_generator(math.asin(math.sqrt(reflectivity)), d1, d2)
-    flat = expm_multiply(gen, tm.grid.reshape(-1))
-    return TwoModeFock(flat.reshape(d1, d2))
+    flat = tm.grid.reshape(-1)
+    out = np.empty_like(flat)
+    for idx, block in _bs_generator(math.asin(math.sqrt(reflectivity)), d1, d2):
+        out[idx] = block @ flat[idx]
+    return TwoModeFock(out.reshape(d1, d2))
 
 
 def displace_two_mode(tm: TwoModeFock, mode: int, tau: complex) -> TwoModeFock:
@@ -186,6 +192,20 @@ def _coherent_overlap(mu: complex, nu: complex) -> complex:
     return complex(math.exp(mag) * math.cos(phase), math.exp(mag) * math.sin(phase))
 
 
+@lru_cache(maxsize=16)
+def _detector_amp(nu: complex, taus: tuple[complex, ...], d: int) -> complex:
+    """Amplitude of one photon at each port of beam nu after taus (independent of the sigmas)."""
+    if len(taus) == 1:
+        return complex(displace_fock(coherent_fock(nu, d), taus[0]).coeffs[1])
+    left, right = taus
+    grid = np.zeros((d, d), dtype=complex)
+    grid[0] = coherent_fock(nu, d).coeffs
+    tm = beamsplitter_fock(TwoModeFock(grid), 0.5)
+    tm = displace_two_mode(tm, 0, left)
+    tm = displace_two_mode(tm, 1, right)
+    return complex(tm.grid[1, 1])
+
+
 def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
                          dim: int | None = None) -> float:
     """Protocol success probability recomputed in the truncated number basis.
@@ -205,40 +225,18 @@ def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which
         )
     protocol = get_protocol(which)
     state = build_analysis_state(params, channel)
-    env_modes = (ENV_A, ENV_B)
     taus = protocol.displacements(alpha_prime, params.phi)
-
-    if protocol.ports == 1:
-        (tau,) = taus
-        d = dim or recommended_dim((2.0 * alpha_prime) ** 2)
-
-        @lru_cache(maxsize=None)
-        def detector_amp(nu: complex) -> complex:
-            return complex(displace_fock(coherent_fock(nu, d), tau).coeffs[1])
-
-    else:
-        left, right = taus
-        d = dim or recommended_dim(2.0 * alpha_prime**2)
-        vac = np.zeros(d, dtype=complex)
-        vac[0] = 1.0
-
-        @lru_cache(maxsize=None)
-        def detector_amp(nu: complex) -> complex:
-            tm = TwoModeFock(np.outer(vac, coherent_fock(nu, d).coeffs))
-            tm = beamsplitter_fock(tm, 0.5)
-            tm = displace_two_mode(tm, 0, left)
-            tm = displace_two_mode(tm, 1, right)
-            return complex(tm.grid[1, 1])
-
+    d = dim or recommended_dim((2.0 * alpha_prime) ** 2 if protocol.ports == 1
+                               else 2.0 * alpha_prime**2)
     weights = [
-        b.coeff * detector_amp(b.amps[BEAM_1]) * detector_amp(b.amps[BEAM_2])
+        b.coeff * _detector_amp(b.amps[BEAM_1], taus, d) * _detector_amp(b.amps[BEAM_2], taus, d)
         for b in state.branches
     ]
     total = 0j
     for j, bj in enumerate(state.branches):
         for k, bk in enumerate(state.branches):
             term = weights[j].conjugate() * weights[k]
-            for mode in env_modes:
+            for mode in (ENV_A, ENV_B):
                 term *= _coherent_overlap(bj.amps[mode], bk.amps[mode])
             total += term
     return total.real

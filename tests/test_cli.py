@@ -406,6 +406,28 @@ def test_plan_infeasible(capsys):
     assert record["feasible"] is False
     assert record["max_range_km_total"] is None
     assert record["rate_floor_counts_per_s"] == "inf"
+    assert record["limited_by"] == "rate"
+
+
+def test_plan_infeasible_by_visibility():
+    # The rate peaks at 4.2e6 counts/s near 2607 km, where the visibility is 0.
+    code, out = run_cli(["plan", "--alpha", "1e100", "--rate-floor", "1", "--output", "json"])
+    assert code == 2
+    record = json.loads(out)
+    assert record["feasible"] is False
+    assert record["limited_by"] == "visibility"
+
+
+@pytest.mark.parametrize("axis", ["delta_sigma_rad", "phi_rad"])
+@pytest.mark.parametrize("start, stop", [("-1e308", "1e308"), ("0", "1e308")])
+def test_sweep_overflow_names_fields(axis, start, stop, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-phase warning of the rows before the overflow
+        code, out = run_cli(["sweep", "--axis", axis, f"--start={start}", f"--stop={stop}",
+                             "--steps=3"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: sweep.start/sweep.stop: ") and "overflows" in err
 
 
 def test_montecarlo_reference_run():

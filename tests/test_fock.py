@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from catbell import ProtocolParams, pipeline_prob, success_prob
+from catbell import PROTOCOLS, ChannelParams, ProtocolParams, pipeline_prob, success_prob
 from catbell.fock import (
     MAX_ORACLE_AMPLITUDE,
     TAIL_TOLERANCE,
@@ -21,24 +23,30 @@ from catbell.fock import (
     recommended_dim,
 )
 from conftest import channel_for
+from reference import reference_probs
+
+
+def norm_deficit(v):
+    """Truncation loss 1 - norm2, clipped at 0 (rounding can overshoot)."""
+    return max(0.0, 1.0 - v.norm2())
 
 
 def test_coherent_fock_vacuum():
     v = coherent_fock(0j, 8)
     assert v.coeffs[0] == 1.0
     assert np.all(v.coeffs[1:] == 0.0)
-    assert v.norm_deficit() == 0.0
+    assert norm_deficit(v) == 0.0
 
 
 def test_coherent_fock_unit_amplitude():
     v = coherent_fock(1 + 0j, 32)
     assert math.isclose(abs(v.coeffs[1]) ** 2, math.exp(-1.0), rel_tol=1e-12)
-    assert v.norm_deficit() < 1e-12
+    assert norm_deficit(v) < 1e-12
 
 
 def test_coherent_fock_tail_bound():
     v = coherent_fock(3 + 0j, 64)
-    assert v.norm_deficit() < 1e-10
+    assert norm_deficit(v) < 1e-10
 
 
 def test_coherent_fock_dim_floor():
@@ -49,7 +57,7 @@ def test_coherent_fock_dim_floor():
 def test_recommended_dim():
     assert recommended_dim(9.0) == math.ceil(9.0 + 10.0 * math.sqrt(10.0) + 20.0)
     v = coherent_fock(2.5j, recommended_dim(6.25))
-    assert v.norm_deficit() < 1e-10
+    assert norm_deficit(v) < 1e-10
 
 
 def test_displace_identity():
@@ -99,6 +107,37 @@ def test_beamsplitter_identity_and_unitarity():
     assert abs(mixed.norm2() - 1.0) < 1e-10
     with pytest.raises(ValueError, match="reflectivity"):
         beamsplitter_fock(tm, 1.5)
+
+
+def _dense_beamsplitter(grid, reflectivity):
+    """Reference: dense expm of the whole generator theta (adag b - a bdag), built with kron."""
+    d1, d2 = grid.shape
+    a1 = np.diag(np.sqrt(np.arange(1.0, d1)), 1)
+    a2 = np.diag(np.sqrt(np.arange(1.0, d2)), 1)
+    adag_b = np.kron(a1.T, np.eye(d2)) @ np.kron(np.eye(d1), a2)
+    theta = math.asin(math.sqrt(reflectivity))
+    return (expm(theta * (adag_b - adag_b.T)) @ grid.reshape(-1)).reshape(d1, d2)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (7, 11)])
+@pytest.mark.parametrize("reflectivity", [0.0, 0.37, 0.5, 1.0])
+def test_beamsplitter_matches_dense_expm(shape, reflectivity):
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid /= np.linalg.norm(grid)
+    out = beamsplitter_fock(TwoModeFock(grid), reflectivity)
+    assert np.max(np.abs(out.grid - _dense_beamsplitter(grid, reflectivity))) < 1e-13
+
+
+def test_beamsplitter_conserves_photon_number():
+    d1, d2, n = 7, 11, 9
+    rng = np.random.default_rng(5)
+    n1, n2 = np.indices((d1, d2))
+    grid = np.where(n1 + n2 == n, rng.normal(size=(d1, d2)) + 1j * rng.normal(size=(d1, d2)), 0)
+    grid /= np.linalg.norm(grid)
+    out = beamsplitter_fock(TwoModeFock(grid), 0.37)
+    assert np.all(out.grid[n1 + n2 != n] == 0.0)
+    assert abs(out.norm2() - 1.0) < 1e-13
 
 
 def test_beamsplitter_half_on_vacuum_port():
@@ -184,3 +223,15 @@ def test_oracle_truncation_doubling_converges():
         p1 = oracle_protocol_prob(params, ch, which, dim=base)
         p2 = oracle_protocol_prob(params, ch, which, dim=2 * base)
         assert abs(p1 - p2) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(PROTOCOLS), alpha_prime=st.floats(0.5, 3.9),
+       phi=st.floats(0.02, 0.3), km=st.floats(0.0, 50.0),
+       sigma1=st.floats(0.0, 2 * math.pi), sigma2=st.floats(0.0, 2 * math.pi))
+def test_oracle_matches_reference(which, alpha_prime, phi, km, sigma1, sigma2):
+    channel = ChannelParams.from_total(0.2, km)
+    alpha = alpha_prime / math.sqrt(channel.transmittance)
+    p = oracle_protocol_prob(ProtocolParams(alpha, phi, sigma1, sigma2), channel, which)
+    want, p_max, _, _ = reference_probs(which, alpha, phi, 0.2, km, sigma1 - sigma2)
+    assert abs(p - want) <= 1e-10 * p_max

@@ -121,8 +121,12 @@ def test_inner_product_hermitian_and_norm_bounds(rows):
     norm2 = a.squared_norm()
     assert norm2 >= -1e-12
     if norm2 > 0:
-        scale = 1.0 / math.sqrt(norm2)
-        unit = make_state(a.modes, [(br.coeff * scale, br.amps) for br in a.branches])
+        # Scale the largest coefficient to 1 first: a subnormal norm2 (coefficients
+        # near 1e-160) keeps too few digits for 1/sqrt(norm2) to give a unit state.
+        big = max(abs(br.coeff) for br in a.branches)
+        scaled = make_state(a.modes, [(br.coeff / big, br.amps) for br in a.branches])
+        scale = 1.0 / math.sqrt(scaled.squared_norm())
+        unit = make_state(a.modes, [(br.coeff * scale, br.amps) for br in scaled.branches])
         assert 0.0 <= unit.squared_norm() <= 1.0 + 1e-12
 
 
