@@ -39,7 +39,6 @@ from .protocols import (
     attenuate,
     build_source_state,
     build_analysis_state,
-    compose_analysis_state,
     get_protocol,
     usd2_displacement,
     usd4_displacements,
@@ -95,7 +94,6 @@ __all__ = [
     "attenuate",
     "build_source_state",
     "build_analysis_state",
-    "compose_analysis_state",
     "get_protocol",
     "usd2_displacement",
     "usd4_displacements",

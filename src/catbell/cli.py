@@ -383,6 +383,9 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
+    if cfg.duration_s > experiment.MAX_MC_BLOCKS:  # one block per second
+        raise ConfigError(f"run.duration_s: must be <= {experiment.MAX_MC_BLOCKS}, "
+                          f"got {cfg.duration_s}")
     try:
         bins = None if bins_out is None else open(bins_out, "w", newline="")
     except OSError as exc:

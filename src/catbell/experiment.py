@@ -9,6 +9,7 @@ fixed at 1; dark counts are the only detector imperfection modeled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,17 @@ BELL_VISIBILITY_THRESHOLD = 1.0 / math.sqrt(2.0)
 MAX_SEARCH_KM_TOTAL = 50_000.0
 
 _MC_BLOCK_SECONDS = 1.0
+
+# Longest counting session, in blocks (11.6 days of 1 s blocks).  It also keeps
+# every block index below 2^32, one SeedSequence entropy word.
+MAX_MC_BLOCKS = 10**6
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -257,10 +269,65 @@ def optimize_phi(alpha: float, channel: ChannelParams, which: str) -> PhiOptimum
     return PhiOptimum(phi_star, max(p_best, 0.0), constrained, note)
 
 
-def _block_counts(seed: int, index: int, pulses: int, p_max: float, p_min: float,
-                  dark_mean: float) -> tuple[int, int]:
-    """Counts for one block, from a stream keyed only by (seed, block index)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, index))))
+def _block_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Philox keys of the blocks `indices`, one (2,) uint64 row per block.
+
+    Row i equals SeedSequence(entropy=(seed, indices[i])).generate_state(2,
+    np.uint64): NumPy's SeedSequence hash, run with one uint32 lane per block
+    instead of one SeedSequence object per block.  NEP 19 keeps
+    SeedSequence's output fixed across NumPy versions, and a test pins this
+    function against NumPy.  Indices must lie below 2^32 (one entropy word).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # The seed as little-endian 32-bit words (0 is one word), then the index.
+    entropy = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.asarray(indices, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _block_counts(rng: np.random.Generator, key: np.ndarray, pulses: int, p_max: float,
+                  p_min: float, dark_mean: float) -> tuple[int, int]:
+    """Counts for one block, drawn after restarting rng on the block's own Philox key.
+
+    The restart (counter 0, empty buffer) is the state Philox(SeedSequence)
+    starts in, so the draws match a generator built for this block alone.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     c_max = int(rng.binomial(pulses, p_max)) + int(rng.poisson(dark_mean))
     c_min = int(rng.binomial(pulses, p_min)) + int(rng.poisson(dark_mean))
     return c_max, c_min
@@ -284,11 +351,18 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     Counts are drawn blockwise as binomials over the pulses in each 1 s block
     (never per pulse), plus Poisson accidentals from dark counts; a fractional
     remainder of duration_s forms a last, shorter block.  Each block's stream
-    is keyed only by (seed, block index) with a counter-based generator, so any
-    subset of blocks, drawn in any order, reproduces the matching rows.
+    is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
+    of blocks, drawn in any order, reproduces the matching rows.  The keys of
+    all blocks are computed in one vectorised pass and one generator is
+    restarted on each, which gives counts bit-identical to building a
+    SeedSequence and Philox per block.  Sessions longer than MAX_MC_BLOCKS
+    blocks are refused.
     """
     if duration_s < 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
+    if duration_s > MAX_MC_BLOCKS * _MC_BLOCK_SECONDS:
+        raise ValueError(f"duration_s must be <= {MAX_MC_BLOCKS} s "
+                         f"(at most {MAX_MC_BLOCKS} blocks of 1 s), got {duration_s}")
     if source_rate_hz <= 0:
         raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
     if detector.coincidence_window_s * source_rate_hz > 1.0:
@@ -296,11 +370,13 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     report = protocol_report(params, channel, which)
     dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
     full = int(duration_s // _MC_BLOCK_SECONDS)
+    keys = _block_keys(seed, np.arange(full + (duration_s > full * _MC_BLOCK_SECONDS)))
+    rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
-    for index in range(full + (duration_s > full * _MC_BLOCK_SECONDS)):
+    for index, key in enumerate(keys):
         t_start = index * _MC_BLOCK_SECONDS
         dur = _MC_BLOCK_SECONDS if index < full else duration_s - t_start
-        c_max, c_min = _block_counts(seed, index, round(source_rate_hz * dur),
+        c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
                                      report.p_max, report.p_min, dark_rate * dur)
         rows.append((index, t_start, c_max, c_min))
     return rows

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .optics import BeamSplitterSpec, LossSpec, apply_beam_splitter, apply_displacement, apply_loss
+from .optics import BeamSplitterSpec, apply_beam_splitter, apply_displacement
 from .states import (
     SuperposedState,
     add_mode,
@@ -188,51 +188,6 @@ def build_analysis_state(params: ProtocolParams, channel: "ChannelParams") -> Su
         for c, n1, n2, s in rows
     ]
     return make_state((BEAM_1, BEAM_2, ENV_A, ENV_B), branches)
-
-
-def compose_analysis_state(params: ProtocolParams, channel: "ChannelParams") -> SuperposedState:
-    """Build the eight-branch analysis state compositionally.
-
-    Each source term (sign s = +-1 on the conditional phase) is taken through
-    channel loss on both beams and then split at the two analysis
-    interferometers.  The photon at the first site is the one that imprinted
-    the source phase, so its two path amplitudes inherit the source sign:
-    (-s or +s e^{i sigma1})/2; the second site splits identically for both
-    terms with (+1 or -e^{i sigma2})/2.  Agrees with build_analysis_state
-    branch for branch; kept as an independent check of the transcribed
-    eight-branch table.
-    """
-    a = params.alpha
-    eta = channel.transmittance
-    merged: list[tuple[complex, dict]] = []
-    for s in (1.0, -1.0):
-        term = make_state(
-            (BEAM_1, BEAM_2),
-            [(0.5, {BEAM_1: a * cmath.exp(1j * s * params.phi),
-                    BEAM_2: a * cmath.exp(-1j * s * params.phi)})],
-        )
-        term = apply_loss(term, LossSpec(eta, BEAM_1, ENV_A))
-        term = apply_loss(term, LossSpec(eta, BEAM_2, ENV_B))
-        term = _analysis_split(term, BEAM_1, params.phi,
-                               -s, s * cmath.exp(1j * params.sigma1))
-        term = _analysis_split(term, BEAM_2, params.phi,
-                               1.0, -cmath.exp(1j * params.sigma2))
-        merged.extend((b.coeff, b.amps) for b in term.branches)
-    return make_state((BEAM_1, BEAM_2, ENV_A, ENV_B), merged)
-
-
-def _analysis_split(state, beam, phi, coeff_plus, coeff_minus):
-    """Split every branch over the analysis photon's two conditional phases."""
-    rot_plus = 1j * cmath.exp(1j * phi)
-    rot_minus = 1j * cmath.exp(-1j * phi)
-    branches = []
-    for b in state.branches:
-        nu = b.amps[beam]
-        for coeff, rot in ((coeff_plus, rot_plus), (coeff_minus, rot_minus)):
-            amps = dict(b.amps)
-            amps[beam] = rot * nu
-            branches.append((b.coeff * coeff / 2.0, amps))
-    return make_state(state.modes, branches)
 
 
 def usd4_displacements(alpha_prime: float, phi: float) -> tuple[complex, complex]:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from catbell import ChannelParams, accidental_rate, get_protocol, protocol_report
-from catbell.experiment import _block_counts
 
 
 def channel_for(alpha: float, alpha_prime: float, loss_db_per_km: float = 0.2) -> ChannelParams:
@@ -32,16 +31,19 @@ def coherent_series(nu: complex, dim: int = 32) -> np.ndarray:
 def redraw_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz, indices):
     """Monte Carlo block rows for `indices`, each drawn on its own (seed, index) stream.
 
-    Rebuilds every block's pulse count and means from the rate model, apart
-    from monte_carlo_blocks' loop, so a test can draw blocks in any subset and
-    order, as a partitioned session would, and compare them with a run.
+    Builds a fresh Generator(Philox(SeedSequence(entropy=(seed, index)))) per
+    block, NumPy's own seeding, apart from monte_carlo_blocks' vectorised keys
+    and shared generator, so a test can draw blocks in any subset and order,
+    as a partitioned session would, and compare them with a run.
     """
     report = protocol_report(params, channel, which)
     dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
     rows = []
     for index in indices:
         dur = min(1.0, duration_s - index)
-        rows.append((index, float(index), *_block_counts(
-            seed, index, round(source_rate_hz * dur), report.p_max, report.p_min,
-            dark_rate * dur)))
+        pulses, dark_mean = round(source_rate_hz * dur), dark_rate * dur
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, index))))
+        c_max = int(rng.binomial(pulses, report.p_max)) + int(rng.poisson(dark_mean))
+        c_min = int(rng.binomial(pulses, report.p_min)) + int(rng.poisson(dark_mean))
+        rows.append((index, float(index), c_max, c_min))
     return rows

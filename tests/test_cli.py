@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,9 +254,18 @@ _FUZZ_FIELDS = [f for f in cli.FIELDS
                 if f.section != "sweep" and f.name not in ("duration_s", "seed")]
 
 
+# Session lengths that draw at most 20 blocks, or are refused before any is drawn.
+_DURATIONS = st.one_of(
+    st.floats(0.0, 20.0).map(repr),
+    st.floats(max_value=0.0, exclude_max=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.floats(min_value=experiment.MAX_MC_BLOCKS, exclude_min=True).map(repr),
+)
+
+
 @st.composite
 def _fuzz_argv(draw):
-    command = draw(st.sampled_from(["rates", "plan", "oracle", "sweep"]))
+    command = draw(st.sampled_from(["rates", "plan", "oracle", "sweep", "montecarlo"]))
     argv = [command]
     for field in draw(st.lists(st.sampled_from(_FUZZ_FIELDS), max_size=4)):
         argv.append(f"--{field.name.replace('_', '-')}={draw(_NUMBERS)}")
@@ -263,6 +273,8 @@ def _fuzz_argv(draw):
         argv += [f"--axis={draw(st.sampled_from(cli.SWEEP_AXES + ('x',)))}",
                  f"--start={draw(_NUMBERS)}", f"--stop={draw(_NUMBERS)}",
                  f"--steps={draw(st.integers(-1, 5))}"]
+    if command == "montecarlo":
+        argv.append(f"--duration-s={draw(_DURATIONS)}")
     return argv
 
 
@@ -468,11 +480,13 @@ def test_montecarlo_bins_out_draws_each_block_once(tmp_path, monkeypatch):
     drawn = []
     draw = experiment._block_counts
     monkeypatch.setattr(experiment, "_block_counts",
-                        lambda seed, index, *rest: drawn.append(index) or draw(seed, index, *rest))
+                        lambda rng, key, *rest: drawn.append(key.tolist()) or draw(rng, key, *rest))
     code, _ = run_cli(["montecarlo", "--duration-s", "5.5", "--output", "json",
                        "--bins-out", str(tmp_path / "bins.csv")])
     assert code == 0
-    assert drawn == [0, 1, 2, 3, 4, 5]
+    # Six draws in block order, each on its own (seed 12345, block index) key.
+    assert drawn == [np.random.SeedSequence(entropy=(12345, index)).generate_state(2, np.uint64)
+                     .tolist() for index in range(6)]
 
 
 def test_montecarlo_bins_out_unwritable(tmp_path, monkeypatch, capsys):
@@ -487,6 +501,15 @@ def test_montecarlo_bins_out_unwritable(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert drawn == []
     assert not target.parent.exists()
+
+
+def test_montecarlo_session_cap_names_field(tmp_path, capsys):
+    target = tmp_path / "bins.csv"
+    code, out = run_cli(["montecarlo", "--duration-s", "1000000.5", "--bins-out", str(target)])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.duration_s: must be <= 1000000, got 1000000.5")
+    assert not target.exists()
 
 
 def test_montecarlo_refused_session_leaves_no_file(tmp_path, capsys):

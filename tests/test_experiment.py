@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import redraw_blocks
 from catbell import (
@@ -28,6 +28,7 @@ from catbell import (
     visibility,
     visibility_estimate,
 )
+from catbell.experiment import MAX_MC_BLOCKS, _block_keys
 
 LINK_400 = ChannelParams(0.15, 200.0)
 REF = ProtocolParams(100.0, 0.0028)
@@ -245,6 +246,46 @@ def test_monte_carlo_zero_duration():
     assert monte_carlo_blocks(REF, LINK_400, DET, 0.0, 1, "usd2", 1e9) == []
     with pytest.raises(ValueError, match="duration"):
         monte_carlo_run(REF, LINK_400, DET, -1.0, 1, "usd2", 1e9)
+
+
+_INDICES = st.one_of(st.sampled_from([0, 1, MAX_MC_BLOCKS - 1]),
+                    st.integers(0, MAX_MC_BLOCKS - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**128 - 1),
+                      st.integers(2**128, 2**256)),
+       indices=st.lists(_INDICES, min_size=1, max_size=6))
+@example(seed=0, indices=[0, 1, MAX_MC_BLOCKS - 1])
+@example(seed=2**32 - 1, indices=[1, 0])
+@example(seed=2**64, indices=[MAX_MC_BLOCKS - 1, 0])
+@example(seed=2**96, indices=[0, 1])
+@example(seed=2**128, indices=[0, 1, MAX_MC_BLOCKS - 1])
+def test_block_keys_match_seed_sequence(seed, indices):
+    # The vectorised hash gives NumPy's own SeedSequence keys, also past four
+    # entropy words (seed >= 2^96), where the extra-entropy loop runs.
+    keys = _block_keys(seed, np.array(indices))
+    expected = [np.random.SeedSequence(entropy=(seed, i)).generate_state(2, np.uint64)
+                for i in indices]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+def test_monte_carlo_session_cap(monkeypatch):
+    class KeysReached(Exception):
+        pass
+
+    def keys_reached(*args):
+        raise KeysReached
+
+    monkeypatch.setattr("catbell.experiment._block_keys", keys_reached)
+    # A session of exactly MAX_MC_BLOCKS blocks passes the cap; no block is drawn here.
+    with pytest.raises(KeysReached):
+        monte_carlo_blocks(REF, LINK_400, DET, float(MAX_MC_BLOCKS), 1, "usd2", 1e9)
+    # One block more, even a fractional one, is refused before any key is computed.
+    for duration_s in (MAX_MC_BLOCKS + 0.5, 1e300, math.inf):
+        with pytest.raises(ValueError, match="duration_s must be <= 1000000"):
+            monte_carlo_blocks(REF, LINK_400, DET, duration_s, 1, "usd2", 1e9)
 
 
 def test_monte_carlo_blocks_sum_to_run():

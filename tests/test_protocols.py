@@ -14,12 +14,14 @@ from catbell import (
     PROTOCOLS,
     ChannelParams,
     DetectorSpec,
+    LossSpec,
     ProtocolParams,
+    apply_loss,
     build_analysis_state,
     build_source_state,
     chsh_s,
-    compose_analysis_state,
     inner_product,
+    make_state,
     monte_carlo_blocks,
     pipeline_prob,
     protocol_report,
@@ -85,6 +87,50 @@ def test_analysis_state_environment_amplitudes():
         assert abs(abs(b.amps[ENV_A]) - r * 5.0) < 1e-12
         assert abs(abs(b.amps[ENV_B]) - r * 5.0) < 1e-12
         assert abs(b.amps[ENV_A] * b.amps[ENV_B] - (r * 5.0) ** 2) < 1e-10
+
+
+def compose_analysis_state(params: ProtocolParams, channel: ChannelParams):
+    """Build the eight-branch analysis state compositionally.
+
+    Each source term (sign s = +-1 on the conditional phase) is taken through
+    channel loss on both beams and then split at the two analysis
+    interferometers.  The photon at the first site is the one that imprinted
+    the source phase, so its two path amplitudes inherit the source sign:
+    (-s or +s e^{i sigma1})/2; the second site splits identically for both
+    terms with (+1 or -e^{i sigma2})/2.  An independent check of the
+    eight-branch table transcribed in build_analysis_state.
+    """
+    a = params.alpha
+    eta = channel.transmittance
+    merged = []
+    for s in (1.0, -1.0):
+        term = make_state(
+            (BEAM_1, BEAM_2),
+            [(0.5, {BEAM_1: a * cmath.exp(1j * s * params.phi),
+                    BEAM_2: a * cmath.exp(-1j * s * params.phi)})],
+        )
+        term = apply_loss(term, LossSpec(eta, BEAM_1, ENV_A))
+        term = apply_loss(term, LossSpec(eta, BEAM_2, ENV_B))
+        term = _analysis_split(term, BEAM_1, params.phi,
+                               -s, s * cmath.exp(1j * params.sigma1))
+        term = _analysis_split(term, BEAM_2, params.phi,
+                               1.0, -cmath.exp(1j * params.sigma2))
+        merged.extend((b.coeff, b.amps) for b in term.branches)
+    return make_state((BEAM_1, BEAM_2, ENV_A, ENV_B), merged)
+
+
+def _analysis_split(state, beam, phi, coeff_plus, coeff_minus):
+    """Split every branch over the analysis photon's two conditional phases."""
+    rot_plus = 1j * cmath.exp(1j * phi)
+    rot_minus = 1j * cmath.exp(-1j * phi)
+    branches = []
+    for b in state.branches:
+        nu = b.amps[beam]
+        for coeff, rot in ((coeff_plus, rot_plus), (coeff_minus, rot_minus)):
+            amps = dict(b.amps)
+            amps[beam] = rot * nu
+            branches.append((b.coeff * coeff / 2.0, amps))
+    return make_state(state.modes, branches)
 
 
 def test_direct_equals_compositional_construction():
