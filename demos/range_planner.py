@@ -3,9 +3,10 @@ How far can each protocol reach?
 
 A link is usable when (a) the fringe-maximum counting rate stays above a
 practical floor and (b) the visibility stays above 1/sqrt(2) so the CHSH
-statistic exceeds 2.  max_range scans total distance for the binding
-constraint; optimize_phi picks the conditional phase that maximizes the
-success rate, capping it where the Bell condition would fail.
+statistic exceeds 2.  max_range bisects total distance between closed-form
+brackets and reports the binding constraint; optimize_phi bisects the slope
+of the success rate for the conditional phase that maximizes it, capping it
+where the Bell condition would fail.
 
 The two-fold protocol costs two detection events per coincidence instead
 of four, so in dB terms it tolerates roughly k = 2 vs k = 4 times the

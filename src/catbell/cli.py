@@ -43,6 +43,7 @@ from .protocols import (
 TABLE, CSV, JSON = "table", "csv", "json"
 OUTPUTS = (TABLE, CSV, JSON)
 SWEEP_AXES = ("delta_sigma_rad", "phi_rad", "alpha", "distance_km_total")
+MAX_SWEEP_STEPS = 10**6  # rows are built in memory before any is written
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -276,6 +277,8 @@ def cmd_sweep(cfg: RunConfig, stream) -> int:
         raise ConfigError(f"sweep.variable: expected one of {SWEEP_AXES}, got {axis!r}")
     if cfg.steps < 1:
         raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.steps}")
+    if cfg.steps > MAX_SWEEP_STEPS:
+        raise ConfigError(f"sweep.steps: must be <= {MAX_SWEEP_STEPS}, got {cfg.steps}")
     base_params, base_channel = cfg.params(), cfg.channel()
     rows = []
     for i in range(cfg.steps):
@@ -361,7 +364,10 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
         print(f"infeasible: no distance satisfies rate >= {cfg.rate_floor} counts/s "
               "with visibility above 1/sqrt(2)", file=sys.stderr)
         return EXIT_INFEASIBLE
-    channel = ChannelParams.from_total(cfg.loss_db_per_km, result.distance_km_total)
+    from decimal import ROUND_FLOOR, Context  # only plan needs it
+    # Rounded down to the 12 printed digits, the printed range is feasible too.
+    distance = float(Context(12, ROUND_FLOOR).create_decimal_from_float(result.distance_km_total))
+    channel = ChannelParams.from_total(cfg.loss_db_per_km, distance)
     _, n_lost = experiment.attenuate(params.alpha, channel)
     vis = visibility(n_lost, params.phi, exact=True)
     optimum = experiment.optimize_phi(params.alpha, channel, cfg.protocol)
@@ -369,7 +375,7 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
         "protocol": cfg.protocol,
         "rate_floor_counts_per_s": cfg.rate_floor,
         "feasible": True,
-        "max_range_km_total": result.distance_km_total,
+        "max_range_km_total": distance,
         "limited_by": result.limited_by,
         "visibility_at_range": vis,
         "chsh_s_at_range": SQRT8 * vis,

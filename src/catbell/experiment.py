@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ BELL_VISIBILITY_THRESHOLD = 1.0 / math.sqrt(2.0)
 
 # Hard cap for range searches, far beyond any attenuation budget of interest.
 MAX_SEARCH_KM_TOTAL = 50_000.0
+_RANGE_TOL_KM = 1e-9  # max_range's resolution, on the feasible side
 
 _MC_BLOCK_SECONDS = 1.0
 
@@ -169,104 +170,94 @@ def _rate_and_visibility(params: ProtocolParams, loss_db_per_km: float,
     return p_max * source_rate_hz, visibility(n_lost, params.phi, exact=True)
 
 
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Last point found on [lo, hi] where holds is true, or hi itself when holds(hi).
+
+    holds(lo) is not checked.  If holds switches from true to false once on
+    [lo, hi], the result lies within tol below the switch.
+    """
+    if holds(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
               source_rate_hz: float, which: str) -> RangeResult:
     """Largest total separation with R_max >= rate_floor and visibility > 1/sqrt(2).
 
-    Scans outward in 1 km steps to bracket the feasibility boundary, then
-    bisects it to 0.1 km.  Monotone non-increasing in the floor.  Returns an
-    infeasible result when no distance qualifies (for these protocols the rate
-    is maximal at zero distance, so a floor above the zero-distance rate is
-    infeasible).
+    With m = alpha^2 sin^2 phi and u = m eta (eta per arm), R_max = R u^k e^{-8u}
+    (1 + V)/2 with V = exp(-4 (m - u)), and d ln R_max/du = k/u - 8 + 4V/(1 + V)
+    is positive below u = k/8 and negative above k/6.  On (0, sqrt(k)/2) its
+    derivative is at most -k/u^2 + 4 < 0, and sqrt(k)/2 > k/6 for k = 2 and 4,
+    so the rate has one peak.  Past it rate and V only fall: the edge is
+    bisected on [d_peak, MAX_SEARCH_KM_TOTAL] to 1e-9 km on the feasible side,
+    or is the visibility edge left of the peak when only V fails there.  A link
+    feasible at the cap (a lossless one) returns the cap.  limited_by names the
+    constraint that fails just past the edge.  Monotone in the floor.
     """
     if rate_floor <= 0:
         raise ValueError(f"rate_floor must be > 0, got {rate_floor}")
+    k = get_protocol(which).n_fold
+    m = params.alpha**2 * math.sin(params.phi) ** 2
 
-    def feasible(d: float) -> tuple[bool, bool]:
+    def rate_rising(u: float) -> bool:
+        vis = math.exp(-4.0 * (m - u))
+        return k / u - 8.0 + 4.0 * vis / (1.0 + vis) > 0.0
+
+    u_peak = _bisect(rate_rising, k / 8.0, k / 6.0, 1e-12)
+    d_peak = 0.0
+    if loss_db_per_km > 0 and m > u_peak:
+        d_peak = min(20.0 * math.log10(m / u_peak) / loss_db_per_km, MAX_SEARCH_KM_TOTAL)
+
+    def checks(d: float) -> tuple[bool, bool]:
         rate, vis = _rate_and_visibility(params, loss_db_per_km, d, source_rate_hz, which)
         return rate >= rate_floor, vis > BELL_VISIBILITY_THRESHOLD
 
-    last_ok = None
-    first_bad = None
-    prev_rate = None
-    rate_met = False
-    d = 0.0
-    while d <= MAX_SEARCH_KM_TOTAL:
-        rate, vis = _rate_and_visibility(params, loss_db_per_km, d, source_rate_hz, which)
-        rate_met = rate_met or rate >= rate_floor
-        if rate >= rate_floor and vis > BELL_VISIBILITY_THRESHOLD:
-            last_ok = d
-            first_bad = None
-        elif last_ok is not None and first_bad is None:
-            first_bad = d
-        if last_ok is not None and rate < rate_floor and prev_rate is not None and rate < prev_rate:
-            break  # past the peak and below the floor: rate only decays from here
-        prev_rate = rate
-        d += 1.0
-    if last_ok is None:
-        return RangeResult(None, False, "visibility" if rate_met else "rate")
-    if first_bad is None:
-        first_bad = min(last_ok + 1.0, MAX_SEARCH_KM_TOTAL)
-
-    lo, hi = last_ok, first_bad
-    while hi - lo > 0.1:
-        mid = 0.5 * (lo + hi)
-        ok_rate, ok_vis = feasible(mid)
-        if ok_rate and ok_vis:
-            lo = mid
-        else:
-            hi = mid
-    ok_rate, ok_vis = feasible(hi)
-    limited_by = "visibility" if ok_rate and not ok_vis else "rate"
-    return RangeResult(lo, True, limited_by)
+    rate_ok, vis_ok = checks(d_peak)
+    if not rate_ok:
+        return RangeResult(None, False, "rate")
+    if not vis_ok:
+        edge = _bisect(lambda d: checks(d)[1], 0.0, d_peak, _RANGE_TOL_KM)
+        feasible = checks(edge)[0]
+        return RangeResult(edge if feasible else None, feasible, "visibility")
+    edge = _bisect(lambda d: all(checks(d)), d_peak, MAX_SEARCH_KM_TOTAL, _RANGE_TOL_KM)
+    rate_ok, vis_ok = checks(edge + _RANGE_TOL_KM)
+    return RangeResult(edge, True, "visibility" if rate_ok and not vis_ok else "rate")
 
 
 def optimize_phi(alpha: float, channel: ChannelParams, which: str) -> PhiOptimum:
     """Best conditional phase for the rate at a fixed link, honoring the Bell bound.
 
-    Maximizes the closed-form p_max over phi in (0, pi/2), restricted to
-    visibilities above 1/sqrt(2).  A coarse grid brackets the optimum and a
-    golden-section pass refines it.  With no loss the unconstrained optimum
-    satisfies |a'|^2 sin^2(phi*) = 1/4 (usd2) or 1/2 (usd4).
+    Maximizes the closed-form p_max over phi in (phi_hi 1e-6, phi_hi] with
+    V > 1/sqrt(2); phi_hi is the Bell cap sin^2 phi = ln(2)/(8 n_lost), or pi/2.
+    With s = sin^2 phi and n = n_lost, d ln p_max/ds = k/s - 8|a'|^2 - 4nV/(1 + V)
+    has one root there: k/s^2 >= 64 k n^2/ln^2 2 > 4n^2 >= 16n^2 V/(1 + V)^2.
+    Its sign is bisected to 1e-13 phi_hi; constrained means the slope is still
+    positive at the cap.  With no loss |a'|^2 sin^2(phi*) = 1/4 (usd2) or 1/2 (usd4).
     """
+    k = get_protocol(which).n_fold
     alpha_prime, n_lost = attenuate(alpha, channel)
-    if n_lost > 0:
-        cap = 0.5 * math.log(2.0) / (4.0 * n_lost)
-        phi_hi = math.asin(math.sqrt(cap)) if cap < 1.0 else math.pi / 2
-        constrained_domain = cap < 1.0
-    else:
-        phi_hi = math.pi / 2
-        constrained_domain = False
+    cap = math.log(2.0) / (8.0 * n_lost) if n_lost > 0 else math.inf
+    phi_hi = math.asin(math.sqrt(cap)) if cap < 1.0 else math.pi / 2
 
-    def objective(phi: float) -> float:
-        if visibility(n_lost, phi, exact=True) <= BELL_VISIBILITY_THRESHOLD:
-            return -1.0
-        return success_prob(which, alpha_prime, n_lost, phi, math.pi)
+    def rising(phi: float) -> bool:
+        # s times the slope, so phi -> 0 never divides by zero
+        s = math.sin(phi) ** 2
+        vis = visibility(n_lost, phi, exact=True)
+        return 8.0 * alpha_prime**2 * s + 4.0 * (n_lost * s) * vis / (1.0 + vis) < k
 
-    grid = np.linspace(phi_hi * 1e-6, phi_hi * (1.0 - 1e-12), 2048)
-    values = [objective(p) for p in grid]
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-    phi_star = 0.5 * (lo + hi)
-    p_best = objective(phi_star)
-    constrained = constrained_domain and phi_star > 0.999 * phi_hi
-    note = "degenerate flat objective" if p_best < 1e-300 else ""
-    return PhiOptimum(phi_star, max(p_best, 0.0), constrained, note)
+    # V is checked too: at phi_hi it equals 1/sqrt(2) only up to rounding.
+    phi_star = _bisect(lambda phi: visibility(n_lost, phi, exact=True) > BELL_VISIBILITY_THRESHOLD
+                       and rising(phi), phi_hi * 1e-6, phi_hi, 1e-13 * phi_hi)
+    p_max = success_prob(which, alpha_prime, n_lost, phi_star, math.pi)
+    note = "degenerate flat objective" if p_max < 1e-300 else ""
+    return PhiOptimum(phi_star, p_max, cap < 1.0 and rising(phi_hi), note)
 
 
 def _block_keys(seed: int, indices: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Every test prints "ACCEPTANCE NN PASS/FAIL: ..." before asserting so a plain
 run (pytest -s) shows the full scoreboard.  Tolerances are fixed here and are
 not to be loosened.  Criterion 07 checks the two-fold/four-fold maximum-range
 ratio against the ratio of the closed form's own range roots, solved in the
-test with brentq; max_range bisects to 0.1 km on the feasible side, so each
-planned range must sit 0 to 0.1 km below its root, and the ratio follows
-within the bound that 0.1 km propagates to.
+test with brentq.  Each planned range must sit 0 to 0.1 km below its root
+(max_range resolves it to 1e-9 km on the feasible side, well inside that
+bound), and the ratio follows within the bound that 0.1 km propagates to.
 """
 
 import math

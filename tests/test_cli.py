@@ -272,7 +272,7 @@ def _fuzz_argv(draw):
     if command == "sweep":
         argv += [f"--axis={draw(st.sampled_from(cli.SWEEP_AXES + ('x',)))}",
                  f"--start={draw(_NUMBERS)}", f"--stop={draw(_NUMBERS)}",
-                 f"--steps={draw(st.integers(-1, 5))}"]
+                 f"--steps={draw(st.integers(-1, 5) | st.just(cli.MAX_SWEEP_STEPS + 1))}"]
     if command == "montecarlo":
         argv.append(f"--duration-s={draw(_DURATIONS)}")
     return argv
@@ -421,6 +421,31 @@ def test_plan_infeasible(capsys):
     assert record["limited_by"] == "rate"
 
 
+def test_plan_prints_a_feasible_range():
+    # Rounded to nearest, this range would print as 177.103095147, 0.3e-9 km
+    # past the edge; rounded down it stays on the feasible side.
+    flags = {"alpha": 100.05638621284827, "phi_rad": 0.003013477718584912,
+             "rate_floor": 1.0388191381224372}
+    code, out = run_cli(["plan", *(f"--{k.replace('_', '-')}={v!r}" for k, v in flags.items()),
+                         "--output", "json"])
+    assert code == 0
+    distance = json.loads(out)["max_range_km_total"]
+    assert distance == 177.103095146
+    channel = experiment.ChannelParams.from_total(0.15, distance)
+    alpha_prime, n_lost = experiment.attenuate(flags["alpha"], channel)
+    rate = 1e9 * protocols.success_prob("usd2", alpha_prime, n_lost, flags["phi_rad"], math.pi)
+    assert rate >= flags["rate_floor"]
+    assert protocols.visibility(n_lost, flags["phi_rad"], exact=True) > 1.0 / math.sqrt(2.0)
+
+
+def test_plan_lossless_reaches_search_cap():
+    code, out = run_cli(["plan", "--loss-db-per-km", "0", "--output", "json"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["max_range_km_total"] == 50000.0
+    assert record["limited_by"] == "rate"
+
+
 def test_plan_infeasible_by_visibility():
     # The rate peaks at 4.2e6 counts/s near 2607 km, where the visibility is 0.
     code, out = run_cli(["plan", "--alpha", "1e100", "--rate-floor", "1", "--output", "json"])
@@ -428,6 +453,17 @@ def test_plan_infeasible_by_visibility():
     record = json.loads(out)
     assert record["feasible"] is False
     assert record["limited_by"] == "visibility"
+
+
+def test_sweep_steps_cap_refuses_before_any_row(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(cli, "protocol_report", refuse)
+    code, out = run_cli(["sweep", "--axis", "alpha", "--start", "1", "--stop", "2",
+                         f"--steps={cli.MAX_SWEEP_STEPS + 1}"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: sweep.steps: must be <= 1000000, got 1000001\n"
 
 
 @pytest.mark.parametrize("axis", ["delta_sigma_rad", "phi_rad"])

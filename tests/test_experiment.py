@@ -28,7 +28,8 @@ from catbell import (
     visibility,
     visibility_estimate,
 )
-from catbell.experiment import MAX_MC_BLOCKS, _block_keys
+from catbell import experiment
+from catbell.experiment import MAX_MC_BLOCKS, MAX_SEARCH_KM_TOTAL, _block_keys
 
 LINK_400 = ChannelParams(0.15, 200.0)
 REF = ProtocolParams(100.0, 0.0028)
@@ -191,7 +192,8 @@ def test_optimize_phi_matches_grid_search():
 
 def test_optimize_phi_visibility_constrained():
     opt = optimize_phi(100.0, LINK_400, "usd2")
-    assert opt.constrained
+    assert opt.constrained is True
+    assert type(opt.phi_star) is float and type(opt.p_max) is float
     cap = 0.5 * math.log(2.0) / (4.0 * 9990.0)
     assert abs(opt.phi_star - math.asin(math.sqrt(cap))) < 1e-8
     assert visibility(9990.0, opt.phi_star, exact=True) > BELL_VISIBILITY_THRESHOLD
@@ -202,6 +204,86 @@ def test_optimize_phi_degenerate_amplitude():
     assert opt.p_max <= 1e-300
     assert opt.note == "degenerate flat objective"
     assert isinstance(opt, PhiOptimum)
+
+
+def _feasible_at(params, loss, d, floor, which):
+    alpha_prime, n_lost = attenuate(params.alpha, ChannelParams.from_total(loss, d))
+    rate = 1e9 * success_prob(which, alpha_prime, n_lost, params.phi, math.pi)
+    return (rate >= floor
+            and visibility(n_lost, params.phi, exact=True) > BELL_VISIBILITY_THRESHOLD)
+
+
+# The planners' domain: alpha 1-1e4, phi 1e-5-0.7, floors 1e-6-1e8 counts/s.
+_ALPHAS = st.floats(0.0, 4.0).map(lambda x: 10.0**x)
+_PHIS = st.floats(-5.0, math.log10(0.7)).map(lambda x: 10.0**x)
+_FLOORS = st.floats(-6.0, 8.0).map(lambda x: 10.0**x)
+_LOSSES = st.sampled_from([0.0, 0.15, 0.2, 0.5])
+_WHICH = st.sampled_from(["usd2", "usd4"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=_ALPHAS, phi=_PHIS, floor=_FLOORS, loss=_LOSSES, which=_WHICH)
+@example(alpha=100.0, phi=0.0028, floor=5.3, loss=0.15, which="usd2")
+@example(alpha=100.0, phi=0.004, floor=1.0, loss=0.15, which="usd2")   # visibility-limited
+@example(alpha=100.0, phi=0.01, floor=1.0, loss=0.15, which="usd4")    # rate rises first
+@example(alpha=1e4, phi=0.7, floor=1e-6, loss=0.15, which="usd2")      # V fails at the peak
+@example(alpha=1e4, phi=0.02, floor=1e8, loss=0.2, which="usd4")       # above the peak rate
+def test_max_range_edge_is_the_feasibility_edge(alpha, phi, floor, loss, which):
+    params = ProtocolParams(alpha, phi)
+    result = max_range(params, loss, floor, 1e9, which)
+    if result.feasible:
+        d = result.distance_km_total
+        assert _feasible_at(params, loss, d, floor, which)
+        assert d == MAX_SEARCH_KM_TOTAL or not _feasible_at(params, loss, d + 1e-6, floor, which)
+    else:
+        assert result.distance_km_total is None
+        grid = np.linspace(0.0, MAX_SEARCH_KM_TOTAL, 2000)
+        assert not any(_feasible_at(params, loss, float(d), floor, which) for d in grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_ALPHAS, phi=_PHIS, floors=st.lists(_FLOORS, min_size=2, max_size=2),
+       loss=_LOSSES, which=_WHICH)
+@example(alpha=100.0, phi=0.01, floors=[1e-3, 10.0], loss=0.15, which="usd4")
+def test_max_range_monotone_in_floor_everywhere(alpha, phi, floors, loss, which):
+    params = ProtocolParams(alpha, phi)
+    low, high = (max_range(params, loss, f, 1e9, which) for f in sorted(floors))
+    assert low.feasible or not high.feasible
+    if high.feasible:
+        assert high.distance_km_total <= low.distance_km_total
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_ALPHAS, distance=st.floats(0.0, 1000.0), loss=_LOSSES, which=_WHICH)
+@example(alpha=100.0, distance=400.0, loss=0.15, which="usd2")    # Bell-capped
+@example(alpha=math.sqrt(10.0), distance=0.0, loss=0.0, which="usd4")
+def test_optimize_phi_beats_dense_grid(alpha, distance, loss, which):
+    channel = ChannelParams.from_total(loss, distance)
+    opt = optimize_phi(alpha, channel, which)
+    alpha_prime, n_lost = attenuate(alpha, channel)
+    cap = math.log(2.0) / (8.0 * n_lost) if n_lost > 0 else math.inf
+    phi_hi = math.asin(math.sqrt(cap)) if cap < 1.0 else math.pi / 2
+    grid = [float(p) for p in np.linspace(phi_hi * 1e-6, phi_hi, 4000)
+            if visibility(n_lost, float(p), exact=True) > BELL_VISIBILITY_THRESHOLD]
+    best = max(success_prob(which, alpha_prime, n_lost, p, math.pi) for p in grid)
+    assert opt.p_max >= best * (1.0 - 1e-12)
+    assert visibility(n_lost, opt.phi_star, exact=True) > BELL_VISIBILITY_THRESHOLD
+
+
+@pytest.mark.parametrize("loss, floor", [(0.15, 1e-300), (0.15, 1.0), (0.15, 1e12),
+                                         (0.15, math.inf), (0.0, 1.0)])
+@pytest.mark.parametrize("params", [REF, ProtocolParams(100.0, 0.01), ProtocolParams(1e4, 0.7)])
+@pytest.mark.parametrize("which", ["usd2", "usd4"])
+def test_max_range_evaluation_budget(params, loss, floor, which, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return success_prob(*args)
+
+    monkeypatch.setattr(experiment, "success_prob", counted)
+    max_range(params, loss, floor, 1e9, which)
+    assert 1 <= len(calls) <= 60
 
 
 def test_visibility_estimate():
