@@ -257,7 +257,7 @@ def _rates_record(cfg: RunConfig, params: ProtocolParams, channel: ChannelParams
     return record
 
 
-def cmd_rates(cfg: RunConfig, stream) -> int:
+def cmd_rates(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
     params, channel = cfg.params(), cfg.channel()
     record = _rates_record(cfg, params, channel)
     if params.phi == 0.0:
@@ -267,7 +267,7 @@ def cmd_rates(cfg: RunConfig, stream) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, stream) -> int:
+def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
     axis = cfg.axis
     if not axis:
         raise ConfigError("sweep.variable: exactly one sweep axis is required")
@@ -317,7 +317,7 @@ def cmd_sweep(cfg: RunConfig, stream) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig, stream) -> int:
+def cmd_oracle(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
     from . import fock  # SciPy is loaded only by this command
 
     params, channel = cfg.params(), cfg.channel()
@@ -349,7 +349,7 @@ def cmd_oracle(cfg: RunConfig, stream) -> int:
     return EXIT_OK
 
 
-def cmd_plan(cfg: RunConfig, stream) -> int:
+def cmd_plan(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
     params = cfg.params()
     result = experiment.max_range(params, cfg.loss_db_per_km, cfg.rate_floor,
                                   cfg.source_rate_hz, cfg.protocol)
@@ -387,7 +387,8 @@ def cmd_plan(cfg: RunConfig, stream) -> int:
     return EXIT_OK
 
 
-def cmd_montecarlo(cfg: RunConfig, stream, bins_out: str | None = None) -> int:
+def cmd_montecarlo(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
+    bins_out = args.bins_out
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
     if cfg.duration_s > experiment.MAX_MC_BLOCKS:  # one block per second
         raise ConfigError(f"run.duration_s: must be <= {experiment.MAX_MC_BLOCKS}, "
@@ -442,17 +443,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Subcommand name -> (help, handler); the parser and main both read this table.
+COMMANDS = {
+    "rates": ("detection probabilities and counting rates", cmd_rates),
+    "sweep": ("sweep one axis and tabulate rates", cmd_sweep),
+    "oracle": ("compare the branch algebra against the Fock oracle", cmd_oracle),
+    "plan": ("maximum range for a rate floor and Bell violation", cmd_plan),
+    "montecarlo": ("simulate coincidence counting", cmd_montecarlo),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catbell",
                      description="Phase-entangled coherent-state link calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("rates", "detection probabilities and counting rates"),
-        ("sweep", "sweep one axis and tabulate rates"),
-        ("oracle", "compare the branch algebra against the Fock oracle"),
-        ("plan", "maximum range for a rate floor and Bell violation"),
-        ("montecarlo", "simulate coincidence counting"),
-    ):
+    for name, (helptext, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", metavar="PATH", help="INI configuration file")
         sp.add_argument("--set", dest="assignments", action="append", default=[],
@@ -488,17 +493,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, _collect_overrides(args))
-        if args.command == "rates":
-            return cmd_rates(cfg, stream)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, stream)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, stream)
-        if args.command == "plan":
-            return cmd_plan(cfg, stream)
-        if args.command == "montecarlo":
-            return cmd_montecarlo(cfg, stream, bins_out=getattr(args, "bins_out", None))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][1](cfg, stream, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -196,8 +196,9 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
     is positive below u = k/8 and negative above k/6.  On (0, sqrt(k)/2) its
     derivative is at most -k/u^2 + 4 < 0, and sqrt(k)/2 > k/6 for k = 2 and 4,
     so the rate has one peak.  Past it rate and V only fall: the edge is
-    bisected on [d_peak, MAX_SEARCH_KM_TOTAL] to 1e-9 km on the feasible side,
-    or is the visibility edge left of the peak when only V fails there.  A link
+    bisected on [d_peak, MAX_SEARCH_KM_TOTAL] to 1e-9 km on the feasible side.
+    When only V fails at the peak, the edge is the visibility edge left of it,
+    eta = 1 - ln 2/(8m), stepped down until V > 1/sqrt(2) holds.  A link
     feasible at the cap (a lossless one) returns the cap.  limited_by names the
     constraint that fails just past the edge.  Monotone in the floor.
     """
@@ -223,9 +224,17 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
     if not rate_ok:
         return RangeResult(None, False, "rate")
     if not vis_ok:
-        edge = _bisect(lambda d: checks(d)[1], 0.0, d_peak, _RANGE_TOL_KM)
-        feasible = checks(edge)[0]
-        return RangeResult(edge if feasible else None, feasible, "visibility")
+        # V > 1/sqrt(2) while eta > 1 - c, and c < 1 as m > u_peak >= 1/4.
+        # Rounding in eta and n_lost moves the float edge by about ulp/c, so
+        # step down from the formula in doubling steps from that size.
+        c = math.log(2.0) / 8.0 / m  # 8m overflows for alpha near its 1.34e154 cap
+        edge = -20.0 * math.log1p(-c) / (math.log(10.0) * loss_db_per_km)
+        step = math.ulp(edge) / c
+        rate_ok, vis_ok = checks(edge)
+        while not vis_ok:
+            edge, step = max(edge - step, 0.0), 2.0 * step
+            rate_ok, vis_ok = checks(edge)
+        return RangeResult(edge if rate_ok else None, rate_ok, "visibility")
     edge = _bisect(lambda d: all(checks(d)), d_peak, MAX_SEARCH_KM_TOTAL, _RANGE_TOL_KM)
     rate_ok, vis_ok = checks(edge + _RANGE_TOL_KM)
     return RangeResult(edge, True, "visibility" if rate_ok and not vis_ok else "rate")

@@ -1,20 +1,22 @@
 """Truncated Fock-space oracle.
 
-Brute-force number-basis machinery used to cross-check the branch algebra.  It
-shares no detection formulas with the analytic path: displacements are exact
-matrix exponentials of the truncated generator tau*adag - conj(tau)*a (not the
-coherent-overlap recursion), beam splitters exponentiate the truncated two-mode
-generator one block of fixed n1 + n2 at a time, and single-photon amplitudes
-are read off as the n = 1 component of the evolved vector.  Amplitudes must
-stay small (the truncation budget grows as |nu|^2), which is all the
-cross-checks need.  This is the only module that needs SciPy; ``import
-catbell`` does not load it, so import it as ``catbell.fock``.
+Brute-force number-basis machinery used to cross-check the branch algebra.
+States are plain NumPy arrays: a single mode is a 1-D array of coefficients
+c_0 .. c_{dim-1}, two modes a (dim1, dim2) grid.  It shares no detection
+formulas with the analytic path: displacements are exact matrix exponentials
+of the truncated generator tau*adag - conj(tau)*a (not the coherent-overlap
+recursion), beam splitters exponentiate the truncated two-mode generator one
+block of fixed n1 + n2 at a time, and single-photon amplitudes are read off as
+the n = 1 component of the evolved vector.  Only the unmeasured environment
+modes are contracted by the branch algebra (``states.inner_product``).
+Amplitudes must stay small (the truncation budget grows as |nu|^2), which is
+all the cross-checks need.  This is the only module that needs SciPy;
+``import catbell`` does not load it, so import it as ``catbell.fock``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -33,6 +35,7 @@ from .protocols import (
     build_analysis_state,
     get_protocol,
 )
+from .states import make_state
 
 if TYPE_CHECKING:
     from .experiment import ChannelParams
@@ -64,31 +67,7 @@ def recommended_dim(mean_photons: float) -> int:
     return math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons + 1.0) + 20.0)
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Single-mode state as number-basis coefficients c_0 .. c_{dim-1}."""
-
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
-
-
-@dataclass(frozen=True)
-class TwoModeFock:
-    """Two-mode state as a (dim1, dim2) grid of number-basis coefficients."""
-
-    grid: np.ndarray
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.grid, self.grid).real)
-
-
-def coherent_fock(nu: complex, dim: int) -> FockVector:
+def coherent_fock(nu: complex, dim: int) -> np.ndarray:
     """Number-basis expansion c_n = exp(-|nu|^2/2) nu^n / sqrt(n!) up to dim - 1."""
     nu = complex(nu)
     mean = nu.real * nu.real + nu.imag * nu.imag
@@ -102,7 +81,7 @@ def coherent_fock(nu: complex, dim: int) -> FockVector:
     c[0] = math.exp(-0.5 * mean)
     for n in range(1, dim):
         c[n] = c[n - 1] * nu / math.sqrt(n)
-    return FockVector(c)
+    return c
 
 
 # Holds one oracle call's keys: every call brings fresh taus, so older ones never hit.
@@ -122,11 +101,11 @@ def _check_tail(coeffs: np.ndarray, what: str) -> None:
         )
 
 
-def displace_fock(v: FockVector, tau: complex) -> FockVector:
+def displace_fock(v: np.ndarray, tau: complex) -> np.ndarray:
     """Apply D(tau) as the matrix exponential of the truncated generator."""
-    out = _displacement_matrix(complex(tau), v.dim) @ v.coeffs
+    out = _displacement_matrix(complex(tau), len(v)) @ v
     _check_tail(out, f"displace_fock(tau={tau})")
-    return FockVector(out)
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -154,7 +133,7 @@ def _bs_generator(theta: float, dim1: int, dim2: int) -> list[tuple[np.ndarray, 
     return blocks
 
 
-def beamsplitter_fock(tm: TwoModeFock, reflectivity: float) -> TwoModeFock:
+def beamsplitter_fock(grid: np.ndarray, reflectivity: float) -> np.ndarray:
     """Two-mode beam-splitter unitary exp(theta (adag b - a bdag)), theta = arcsin(sqrt(lam)).
 
     Matches the amplitude map (mu, nu) -> (sqrt(1-lam) mu + sqrt(lam) nu,
@@ -162,48 +141,39 @@ def beamsplitter_fock(tm: TwoModeFock, reflectivity: float) -> TwoModeFock:
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
-    d1, d2 = tm.grid.shape
-    flat = tm.grid.reshape(-1)
+    d1, d2 = grid.shape
+    flat = grid.reshape(-1)
     out = np.empty_like(flat)
     for idx, block in _bs_generator(math.asin(math.sqrt(reflectivity)), d1, d2):
         out[idx] = block @ flat[idx]
-    return TwoModeFock(out.reshape(d1, d2))
+    return out.reshape(d1, d2)
 
 
-def displace_two_mode(tm: TwoModeFock, mode: int, tau: complex) -> TwoModeFock:
-    """Displace one mode of a two-mode grid by tau."""
-    d1, d2 = tm.grid.shape
+def displace_two_mode(grid: np.ndarray, mode: int, tau: complex) -> np.ndarray:
+    """Displace one mode of a (dim1, dim2) two-mode grid by tau."""
+    d1, d2 = grid.shape
     if mode == 0:
-        out = _displacement_matrix(complex(tau), d1) @ tm.grid
+        out = _displacement_matrix(complex(tau), d1) @ grid
     elif mode == 1:
-        out = tm.grid @ _displacement_matrix(complex(tau), d2).T
+        out = grid @ _displacement_matrix(complex(tau), d2).T
     else:
         raise ValueError(f"mode must be 0 or 1, got {mode}")
     _check_tail(out.reshape(-1), f"displace_two_mode(mode={mode}, tau={tau})")
-    return TwoModeFock(out)
-
-
-def _coherent_overlap(mu: complex, nu: complex) -> complex:
-    # Same stable rearrangement as states.overlap; repeated here so the
-    # oracle module stays importable without circular dances.
-    diff = mu - nu
-    mag = -0.5 * (diff.real * diff.real + diff.imag * diff.imag)
-    phase = (mu.conjugate() * nu).imag
-    return complex(math.exp(mag) * math.cos(phase), math.exp(mag) * math.sin(phase))
+    return out
 
 
 @lru_cache(maxsize=16)
 def _detector_amp(nu: complex, taus: tuple[complex, ...], d: int) -> complex:
     """Amplitude of one photon at each port of beam nu after taus (independent of the sigmas)."""
     if len(taus) == 1:
-        return complex(displace_fock(coherent_fock(nu, d), taus[0]).coeffs[1])
+        return complex(displace_fock(coherent_fock(nu, d), taus[0])[1])
     left, right = taus
     grid = np.zeros((d, d), dtype=complex)
-    grid[0] = coherent_fock(nu, d).coeffs
-    tm = beamsplitter_fock(TwoModeFock(grid), 0.5)
-    tm = displace_two_mode(tm, 0, left)
-    tm = displace_two_mode(tm, 1, right)
-    return complex(tm.grid[1, 1])
+    grid[0] = coherent_fock(nu, d)
+    grid = beamsplitter_fock(grid, 0.5)
+    grid = displace_two_mode(grid, 0, left)
+    grid = displace_two_mode(grid, 1, right)
+    return complex(grid[1, 1])
 
 
 def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
@@ -213,9 +183,10 @@ def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which
     Each of the eight analysis branches has its beam modes expanded into Fock
     vectors and pushed through the protocol optics numerically; the detector
     amplitudes are the evolved n = 1 components.  The environment modes stay
-    coherent and are contracted with exact coherent overlaps (they are lossy
-    records, not measured modes), making this a hybrid but formula-independent
-    check of the detection arithmetic.
+    coherent (they are lossy records, not measured modes): the branches,
+    weighted by their detector amplitudes, form a state on the environment
+    modes alone, and its squared norm is the probability.  This makes a hybrid
+    but formula-independent check of the detection arithmetic.
     """
     alpha_prime, _ = attenuate(params.alpha, channel)
     if alpha_prime > MAX_ORACLE_AMPLITUDE:
@@ -228,15 +199,9 @@ def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which
     taus = protocol.displacements(alpha_prime, params.phi)
     d = dim or recommended_dim((2.0 * alpha_prime) ** 2 if protocol.ports == 1
                                else 2.0 * alpha_prime**2)
-    weights = [
-        b.coeff * _detector_amp(b.amps[BEAM_1], taus, d) * _detector_amp(b.amps[BEAM_2], taus, d)
+    env = make_state((ENV_A, ENV_B), [
+        (b.coeff * _detector_amp(b.amps[BEAM_1], taus, d) * _detector_amp(b.amps[BEAM_2], taus, d),
+         {ENV_A: b.amps[ENV_A], ENV_B: b.amps[ENV_B]})
         for b in state.branches
-    ]
-    total = 0j
-    for j, bj in enumerate(state.branches):
-        for k, bk in enumerate(state.branches):
-            term = weights[j].conjugate() * weights[k]
-            for mode in (ENV_A, ENV_B):
-                term *= _coherent_overlap(bj.amps[mode], bk.amps[mode])
-            total += term
-    return total.real
+    ])
+    return env.squared_norm()

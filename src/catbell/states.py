@@ -140,8 +140,9 @@ def project_single_photon(state: SuperposedState, mode: str) -> SuperposedState:
 def project_vacuum(state: SuperposedState, mode: str) -> SuperposedState:
     """Project one mode onto vacuum |0> and drop the mode.
 
-    Companion of project_single_photon used by the click-model detection
-    variant (inclusion-exclusion over vacuum projectors).
+    Companion of project_single_photon.  Inclusion-exclusion over vacuum
+    projections gives the probability that every detector sees at least one
+    photon (a click detector).
     """
     return _project(state, mode, vacuum_amp)
 

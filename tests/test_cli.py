@@ -455,6 +455,20 @@ def test_plan_infeasible_by_visibility():
     assert record["limited_by"] == "visibility"
 
 
+def test_plan_visibility_edge_costs_a_handful_of_evaluations(monkeypatch):
+    # Left of the rate peak the visibility edge is closed-form, not bisected.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return protocols.success_prob(*args)
+
+    monkeypatch.setattr(experiment, "success_prob", counted)
+    code, _ = run_cli(["plan", "--alpha", "1e100"])
+    assert code == 2
+    assert 1 <= len(calls) <= 5
+
+
 def test_sweep_steps_cap_refuses_before_any_row(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a row was evaluated")

@@ -272,7 +272,8 @@ def test_optimize_phi_beats_dense_grid(alpha, distance, loss, which):
 
 @pytest.mark.parametrize("loss, floor", [(0.15, 1e-300), (0.15, 1.0), (0.15, 1e12),
                                          (0.15, math.inf), (0.0, 1.0)])
-@pytest.mark.parametrize("params", [REF, ProtocolParams(100.0, 0.01), ProtocolParams(1e4, 0.7)])
+@pytest.mark.parametrize("params", [REF, ProtocolParams(100.0, 0.01), ProtocolParams(1e4, 0.7),
+                                    ProtocolParams(1e154, 0.7)])  # 8 alpha^2 sin^2 phi overflows
 @pytest.mark.parametrize("which", ["usd2", "usd4"])
 def test_max_range_evaluation_budget(params, loss, floor, which, monkeypatch):
     calls = []

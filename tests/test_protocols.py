@@ -1,6 +1,7 @@
 """Source construction, both discrimination protocols, visibility, CHSH."""
 
 import cmath
+import itertools
 import math
 import sys
 
@@ -16,6 +17,7 @@ from catbell import (
     DetectorSpec,
     LossSpec,
     ProtocolParams,
+    apply_displacement,
     apply_loss,
     build_analysis_state,
     build_source_state,
@@ -24,6 +26,8 @@ from catbell import (
     make_state,
     monte_carlo_blocks,
     pipeline_prob,
+    project_single_photon,
+    project_vacuum,
     protocol_report,
     success_prob,
     usd2_displacement,
@@ -317,13 +321,27 @@ def test_displacements_null_their_target_families():
 
 
 def test_click_model_deviation_small_and_shrinking():
+    # A click detector asks for at least one photon: P(all click) is the
+    # inclusion-exclusion sum over vacuum projections of the detector modes.
     ch = ChannelParams(0.0, 0.0)
+    detectors = (BEAM_1, BEAM_2)
 
     def rel_dev(ap):
         params = ProtocolParams(ap, 0.1, math.pi, 0.0)
-        default = pipeline_prob(params, ch, "usd2", click_model=False)
-        click = pipeline_prob(params, ch, "usd2", click_model=True)
-        return abs(click - default) / default
+        state = build_analysis_state(params, ch)
+        for mode in detectors:
+            state = apply_displacement(state, mode, usd2_displacement(ap))
+        default = state
+        for mode in detectors:
+            default = project_single_photon(default, mode)
+        click = 0.0
+        for size in range(len(detectors) + 1):
+            for subset in itertools.combinations(detectors, size):
+                projected = state
+                for mode in subset:
+                    projected = project_vacuum(projected, mode)
+                click += (-1.0) ** size * projected.squared_norm()
+        return abs(click - default.squared_norm()) / default.squared_norm()
 
     bound = 4.0 * (0.5 * math.sin(0.1)) ** 2
     assert rel_dev(0.5) < bound
