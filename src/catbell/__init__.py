@@ -7,7 +7,7 @@ through loss and interferometry, reduces the click statistics to closed
 forms, cross-checks them against a truncated Fock-space oracle, simulates
 coincidence counting, and plans link budgets for Bell-inequality tests.
 
-The oracle needs SciPy and is not imported here: use ``catbell.fock``.
+The Fock oracle is not imported here: use ``catbell.fock``.
 """
 
 from .states import (

@@ -26,6 +26,7 @@ import operator
 import os
 import sys
 from dataclasses import make_dataclass, replace
+from functools import cache
 from typing import NamedTuple
 
 from . import experiment
@@ -318,7 +319,7 @@ def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
-    from . import fock  # SciPy is loaded only by this command
+    from . import fock  # only this command needs the Fock oracle
 
     params, channel = cfg.params(), cfg.channel()
     rows = []
@@ -453,6 +454,7 @@ COMMANDS = {
 }
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catbell",
                      description="Phase-entangled coherent-state link calculator")
@@ -489,9 +491,8 @@ def _collect_overrides(args: argparse.Namespace) -> list[tuple[str, str, str]]:
 
 def main(argv: list[str] | None = None, stream=None) -> int:
     stream = stream or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, _collect_overrides(args))
         return COMMANDS[args.command][1](cfg, stream, args)
     except ConfigError as exc:

@@ -10,20 +10,18 @@ block of fixed n1 + n2 at a time, and single-photon amplitudes are read off as
 the n = 1 component of the evolved vector.  Only the unmeasured environment
 modes are contracted by the branch algebra (``states.inner_product``).
 Amplitudes must stay small (the truncation budget grows as |nu|^2), which is
-all the cross-checks need.  This is the only module that needs SciPy;
-``import catbell`` does not load it, so import it as ``catbell.fock``.
+all the cross-checks need.  ``import catbell`` does not load this module, so
+import it as ``catbell.fock``.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import expm
-# Unused here; perfbench/tracing.py patches catbell.fock.expm_multiply by name.
-from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .protocols import (
     BEAM_1,
@@ -48,6 +46,15 @@ MAX_ORACLE_AMPLITUDE = 4.0
 # TAIL_TOLERANCE indicate the truncation was too small.
 TAIL_WINDOW = 5
 TAIL_TOLERANCE = 1e-10
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py patches catbell.fock.expm and .expm_multiply by name; they
+    # resolve only when asked, so the oracle itself never imports SciPy.
+    module = {"expm": "scipy.linalg", "expm_multiply": "scipy.sparse.linalg"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
 
 class OracleBudgetError(ValueError):
@@ -84,11 +91,21 @@ def coherent_fock(nu: complex, dim: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=64)
+def _quadrature_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (L, V) of the truncated X = a + adag, real symmetric tridiagonal."""
+    off = np.sqrt(np.arange(1.0, dim))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
 # Holds one oracle call's keys: every call brings fresh taus, so older ones never hit.
 @lru_cache(maxsize=8)
 def _displacement_matrix(tau: complex, dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    return expm(tau * a.conj().T - tau.conjugate() * a)
+    """exp(tau adag - conj(tau) a) = R V e^{i|tau|L} V^T R^dag: R = diag(e^{in(arg tau - pi/2)})
+    rotates i|tau|X into the generator (Golub & Welsch, Math. Comp. 23, 221, 1969)."""
+    w, v = _quadrature_basis(dim)
+    phase = np.exp(1j * (np.angle(tau) - math.pi / 2) * np.arange(dim))
+    return (phase[:, None] * (v * np.exp(1j * abs(tau) * w)) @ v.T) * phase.conj()
 
 
 def _check_tail(coeffs: np.ndarray, what: str) -> None:

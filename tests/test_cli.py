@@ -608,6 +608,48 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_oracle_loads_no_scipy():
+    # The oracle exponentiates with numpy alone; SciPy is a test-only dependency.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catbell.fock as fock; from catbell import cli; cfg = cli.load_config(None, []); "
+         "print(fock.oracle_protocol_prob(cfg.params(), cfg.channel(), 'usd2')); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    p_oracle, scipy_modules = proc.stdout.splitlines()
+    assert float(p_oracle) > 0.0
+    assert scipy_modules == "[]"
+
+
+def test_main_repeated_in_one_process_matches_fresh_runs(tmp_path, capsys):
+    # main builds its parser once per process; no call may leave state for the next.
+    bins = tmp_path / "bins.csv"
+    calls = [
+        ["rates", "--output", "json"],
+        ["montecarlo", "--duration-s", "30", "--seed", "7", "--bins-out", str(bins)],
+        ["sweep", "--set", "sweep.variable=alpha", "--set", "sweep.start=50",
+         "--set", "sweep.stop=150", "--steps", "4", "--output", "csv"],
+        ["rates", "--no-such-flag"],
+        ["plan", "--set", "run.protocol=usd4", "--rate-floor", "0.5", "--output", "json"],
+        ["oracle", "--alpha", "2", "--distance-km-total", "0", "--output", "csv"],
+        ["rates", "--set", "source.alpha=50", "--protocol", "usd4"],
+    ]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "catbell", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      bins.read_text() if "--bins-out" in argv else None))
+    for _ in range(2):
+        for argv, want in zip(calls, fresh):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            got_bins = bins.read_text() if "--bins-out" in argv else None
+            assert (code, out, err, got_bins) == want, argv
+
+
 @pytest.mark.skipif(
     shutil.which("catbell") is None,
     reason="no `catbell` console script on PATH; install the package with `pip install -e .`",

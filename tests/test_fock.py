@@ -14,6 +14,7 @@ from catbell.fock import (
     TAIL_TOLERANCE,
     OracleBudgetError,
     TruncationError,
+    _displacement_matrix,
     beamsplitter_fock,
     coherent_fock,
     displace_fock,
@@ -93,6 +94,18 @@ def test_displace_truncation_guard():
     with pytest.raises(TruncationError) as err:
         displace_fock(v, 3.0 + 0j)
     assert err.value.tail_mass > TAIL_TOLERANCE
+
+
+@pytest.mark.parametrize("dim", [8, 40, 100, 165])
+@pytest.mark.parametrize("tau", [0j, 4 + 0j, -4 + 0j, 4j, -2.5j, 1.7 - 0.3j,
+                                 3 * cmath.exp(2.3j), 0.05 * cmath.exp(-1.1j)])
+def test_displacement_matrix_matches_expm(dim, tau):
+    """The eigenbasis route against scipy's expm of the same truncated generator."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    want = expm(tau * a.T - tau.conjugate() * a)
+    got = _displacement_matrix(tau, dim)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(got @ got.conj().T - np.eye(dim))) < 1e-13
 
 
 def test_beamsplitter_identity_and_unitarity():
