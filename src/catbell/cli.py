@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: rates, sweep, oracle, plan, montecarlo.  Every configuration
-field is one row of ``FIELDS``: its INI section and key, its ``RunConfig``
-attribute (which is also its flag: ``--phi-rad`` sets ``phi_rad``), its type,
-default and check.  Values merge from defaults, an INI file with sections
+Three tables hold the rules.  ``FIELDS`` has one row per configuration field:
+its INI section and key, its ``RunConfig`` attribute (which is also its flag:
+``--phi-rad`` sets ``phi_rad``), its type, default and check.  ``COMMANDS``
+maps each subcommand (rates, sweep, oracle, plan, montecarlo) to its help and
+handler, and ``_SWEEP_STEP`` maps each sweep axis to one step's model inputs.
+A handler takes ``(cfg, args)`` and returns records; ``main`` alone writes them
+and picks the exit code.  Values merge from defaults, an INI file with sections
 [source], [channel], [detector], [sweep], [run], ``--set section.key=value``
 and named flags (named flags win).  Numbers must be finite; only the rate
 floor may be inf, an infeasible request.  Machine output
@@ -43,7 +46,14 @@ from .protocols import (
 
 TABLE, CSV, JSON = "table", "csv", "json"
 OUTPUTS = (TABLE, CSV, JSON)
-SWEEP_AXES = ("delta_sigma_rad", "phi_rad", "alpha", "distance_km_total")
+# Sweep axis -> the (params p, channel c) of one step at value v.
+_SWEEP_STEP = {
+    "delta_sigma_rad": lambda p, c, v: (replace(p, sigma1=v, sigma2=0.0), c),
+    "phi_rad": lambda p, c, v: (replace(p, phi=v), c),
+    "alpha": lambda p, c, v: (replace(p, alpha=v), c),
+    "distance_km_total": lambda p, c, v: (p, ChannelParams.from_total(c.loss_db_per_km, v)),
+}
+SWEEP_AXES = tuple(_SWEEP_STEP)
 MAX_SWEEP_STEPS = 10**6  # rows are built in memory before any is written
 
 EXIT_OK = 0
@@ -56,7 +66,14 @@ class ConfigError(Exception):
 
 
 class InfeasibleError(Exception):
-    """Physically infeasible request or failed oracle check; maps to exit code 2."""
+    """Physically infeasible request or failed oracle check; maps to exit code 2.
+
+    ``records`` are written before the message, as the evidence for it.
+    """
+
+    def __init__(self, message: str, records: list[dict] | None = None):
+        super().__init__(message)
+        self.records = records
 
 
 class Field(NamedTuple):
@@ -101,26 +118,29 @@ _FIELD_AT = {(f.section, f.key): f for f in FIELDS}
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
+@contextlib.contextmanager
+def _model(source: str):
+    """Turn a model-side ValueError into a ConfigError that names its source."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 class _ModelInputs:
-    """Model inputs built from a RunConfig; a model-side rejection becomes a ConfigError."""
+    """Model inputs built from a RunConfig."""
 
     def params(self) -> ProtocolParams:
-        try:
+        with _model("source"):
             return ProtocolParams(self.alpha, self.phi_rad, self.sigma1_rad, self.sigma2_rad)
-        except ValueError as exc:
-            raise ConfigError(f"source: {exc}") from None
 
     def channel(self) -> ChannelParams:
-        try:
+        with _model("channel"):
             return ChannelParams.from_total(self.loss_db_per_km, self.distance_km_total)
-        except ValueError as exc:
-            raise ConfigError(f"channel: {exc}") from None
 
     def detector(self) -> DetectorSpec:
-        try:
+        with _model("detector"):
             return DetectorSpec(self.dark_rate_hz, self.coincidence_window_s)
-        except ValueError as exc:
-            raise ConfigError(f"detector: {exc}") from None
 
 
 RunConfig = make_dataclass(
@@ -183,23 +203,14 @@ def load_config(path: str | None, overrides: list[tuple[str, str, str]]) -> RunC
     return RunConfig(**values)
 
 
-def _fmt_machine(value):
+def _fmt(value, digits: int = 12, none: str = "") -> str:
+    """One table or CSV cell: floats to `digits` significant digits, None as `none`."""
     if value is None:
-        return ""
+        return none
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _fmt_human(value):
-    if value is None:
-        return "n/a"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.4g}"
+        return f"{value:.{digits}g}"
     return str(value)
 
 
@@ -217,7 +228,7 @@ def _emit(rows: list[dict], output: str, stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow(_fmt_machine(v) for v in row.values())
+            writer.writerow(_fmt(v) for v in row.values())
     elif output == JSON:
         payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
         json.dump(payload[0] if len(payload) == 1 else payload, stream,
@@ -227,12 +238,13 @@ def _emit(rows: list[dict], output: str, stream) -> None:
         for row in rows:
             width = max(len(k) for k in row)
             for key, value in row.items():
-                stream.write(f"{key:<{width}}  {_fmt_human(value)}\n")
+                stream.write(f"{key:<{width}}  {_fmt(value, 4, 'n/a')}\n")
             if row is not rows[-1]:
                 stream.write("\n")
 
 
-def _rates_record(cfg: RunConfig, params: ProtocolParams, channel: ChannelParams) -> dict:
+def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
+    params, channel = cfg.params(), cfg.channel()
     report = protocol_report(params, channel, cfg.protocol)
     rates = experiment.counting_rates(report.p_max, report.p_min, cfg.source_rate_hz)
     alpha_prime, n_lost = experiment.attenuate(params.alpha, channel)
@@ -255,20 +267,13 @@ def _rates_record(cfg: RunConfig, params: ProtocolParams, channel: ChannelParams
         "r_max_per_s": rates.r_max,
         "r_min_per_s": rates.r_min,
     }
-    return record
-
-
-def cmd_rates(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
-    params, channel = cfg.params(), cfg.channel()
-    record = _rates_record(cfg, params, channel)
     if params.phi == 0.0:
         record["note"] = ("phi = 0: no conditional phase is imprinted, "
                           "so every detection rate vanishes")
-    _emit([record], cfg.output, stream)
-    return EXIT_OK
+    return [record]
 
 
-def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     axis = cfg.axis
     if not axis:
         raise ConfigError("sweep.variable: exactly one sweep axis is required")
@@ -280,7 +285,7 @@ def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.steps}")
     if cfg.steps > MAX_SWEEP_STEPS:
         raise ConfigError(f"sweep.steps: must be <= {MAX_SWEEP_STEPS}, got {cfg.steps}")
-    base_params, base_channel = cfg.params(), cfg.channel()
+    base_params, base_channel, step = cfg.params(), cfg.channel(), _SWEEP_STEP[axis]
     rows = []
     for i in range(cfg.steps):
         if cfg.steps == 1:
@@ -290,18 +295,8 @@ def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
         if not math.isfinite(value):
             raise ConfigError(f"sweep.start/sweep.stop: the sweep from {cfg.start} to "
                               f"{cfg.stop} overflows at step {i} of {cfg.steps}")
-        params, channel = base_params, base_channel
-        try:
-            if axis == "delta_sigma_rad":
-                params = replace(base_params, sigma1=value, sigma2=0.0)
-            elif axis == "phi_rad":
-                params = replace(base_params, phi=value)
-            elif axis == "alpha":
-                params = replace(base_params, alpha=value)
-            else:
-                channel = ChannelParams.from_total(cfg.loss_db_per_km, value)
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {value}: {exc}") from None
+        with _model(f"sweep value {value}"):
+            params, channel = step(base_params, base_channel, value)
         report = protocol_report(params, channel, cfg.protocol)
         rates = experiment.counting_rates(report.p_max, report.p_min, cfg.source_rate_hz)
         rows.append({
@@ -314,11 +309,10 @@ def cmd_sweep(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
             "r_max_per_s": rates.r_max,
             "r_min_per_s": rates.r_min,
         })
-    _emit(rows, cfg.output, stream)
-    return EXIT_OK
+    return rows
 
 
-def cmd_oracle(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
+def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     from . import fock  # only this command needs the Fock oracle
 
     params, channel = cfg.params(), cfg.channel()
@@ -342,29 +336,26 @@ def cmd_oracle(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
                 "abs_error": err,
                 "ok": err <= cfg.tolerance,
             })
-    _emit(rows, cfg.output, stream)
     if worst > cfg.tolerance:
         raise InfeasibleError(
-            f"oracle disagreement {worst:.3e} exceeds tolerance {cfg.tolerance:.3e}"
-        )
-    return EXIT_OK
+            f"oracle disagreement {worst:.3e} exceeds tolerance {cfg.tolerance:.3e}", rows)
+    return rows
 
 
-def cmd_plan(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
+def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     params = cfg.params()
     result = experiment.max_range(params, cfg.loss_db_per_km, cfg.rate_floor,
                                   cfg.source_rate_hz, cfg.protocol)
+    record = {
+        "protocol": cfg.protocol,
+        "rate_floor_counts_per_s": cfg.rate_floor,
+        "feasible": result.feasible,
+        "max_range_km_total": None,
+        "limited_by": result.limited_by,
+    }
     if not result.feasible:
-        _emit([{
-            "protocol": cfg.protocol,
-            "rate_floor_counts_per_s": cfg.rate_floor,
-            "feasible": False,
-            "max_range_km_total": None,
-            "limited_by": result.limited_by,
-        }], cfg.output, stream)
-        print(f"infeasible: no distance satisfies rate >= {cfg.rate_floor} counts/s "
-              "with visibility above 1/sqrt(2)", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InfeasibleError(f"no distance satisfies rate >= {cfg.rate_floor} counts/s "
+                              "with visibility above 1/sqrt(2)", [record])
     from decimal import ROUND_FLOOR, Context  # only plan needs it
     # Rounded down to the 12 printed digits, the printed range is feasible too.
     distance = float(Context(12, ROUND_FLOOR).create_decimal_from_float(result.distance_km_total))
@@ -372,23 +363,13 @@ def cmd_plan(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
     _, n_lost = experiment.attenuate(params.alpha, channel)
     vis = visibility(n_lost, params.phi, exact=True)
     optimum = experiment.optimize_phi(params.alpha, channel, cfg.protocol)
-    record = {
-        "protocol": cfg.protocol,
-        "rate_floor_counts_per_s": cfg.rate_floor,
-        "feasible": True,
-        "max_range_km_total": distance,
-        "limited_by": result.limited_by,
-        "visibility_at_range": vis,
-        "chsh_s_at_range": SQRT8 * vis,
-        "chsh_margin": experiment.chsh_margin(vis),
-        "phi_star_at_range": optimum.phi_star,
-        "phi_star_p_max": optimum.p_max,
-    }
-    _emit([record], cfg.output, stream)
-    return EXIT_OK
+    record.update(max_range_km_total=distance, visibility_at_range=vis,
+                  chsh_s_at_range=SQRT8 * vis, chsh_margin=experiment.chsh_margin(vis),
+                  phi_star_at_range=optimum.phi_star, phi_star_p_max=optimum.p_max)
+    return [record]
 
 
-def cmd_montecarlo(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
+def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     bins_out = args.bins_out
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
     if cfg.duration_s > experiment.MAX_MC_BLOCKS:  # one block per second
@@ -406,7 +387,7 @@ def cmd_montecarlo(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
                 writer = csv.writer(bins, lineterminator="\n")
                 writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
                 for index, t_start, c_max, c_min in blocks:
-                    writer.writerow([index, _fmt_machine(float(t_start)), c_max, c_min])
+                    writer.writerow([index, _fmt(float(t_start)), c_max, c_min])
     except BaseException:
         # A refused session leaves no partial file; a device such as /dev/stdout stays.
         if bins is not None and os.path.isfile(bins_out):
@@ -435,8 +416,7 @@ def cmd_montecarlo(cfg: RunConfig, stream, args: argparse.Namespace) -> int:
         "accidental_rate_per_s": experiment.accidental_rate(
             det, get_protocol(cfg.protocol).n_fold),
     }
-    _emit([record], cfg.output, stream)
-    return EXIT_OK
+    return [record]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -490,21 +470,22 @@ def _collect_overrides(args: argparse.Namespace) -> list[tuple[str, str, str]]:
 
 
 def main(argv: list[str] | None = None, stream=None) -> int:
-    stream = stream or sys.stdout
+    """Run one subcommand; the only place that writes records and picks the exit code."""
+    code, message = EXIT_OK, None
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config, _collect_overrides(args))
-        return COMMANDS[args.command][1](cfg, stream, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ValueError, ArithmeticError) as exc:
-        # A value the config checks cannot foresee, refused by the model itself.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        try:
+            records = COMMANDS[args.command][1](cfg, args)
+        except InfeasibleError as exc:
+            records, code, message = exc.records, EXIT_INFEASIBLE, f"infeasible: {exc}"
+        if records:
+            _emit(records, cfg.output, stream or sys.stdout)
+    except (ConfigError, ValueError, ArithmeticError) as exc:
+        code, message = EXIT_CONFIG, f"error: {exc}"  # also a value the model itself refused
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

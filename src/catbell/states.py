@@ -97,13 +97,11 @@ def make_state(modes, branches) -> SuperposedState:
     )
 
 
-def add_mode(state: SuperposedState, mode: str, amplitude: complex = 0j) -> SuperposedState:
-    """Append a mode (vacuum by default) to the registry of every branch."""
+def add_mode(state: SuperposedState, mode: str) -> SuperposedState:
+    """Append a vacuum mode to the registry of every branch."""
     if mode in state.modes:
         raise ValueError(f"mode {mode!r} already in registry")
-    branches = tuple(
-        Branch(b.coeff, {**b.amps, mode: complex(amplitude)}) for b in state.branches
-    )
+    branches = tuple(Branch(b.coeff, {**b.amps, mode: 0j}) for b in state.branches)
     return SuperposedState(state.modes + (mode,), branches)
 
 
