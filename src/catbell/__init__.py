@@ -33,6 +33,7 @@ from .protocols import (
     PROTOCOLS,
     PROTOCOL_TABLE,
     CHSH_OPTIMAL_ANGLES,
+    ChannelParams,
     Protocol,
     ProtocolParams,
     RateReport,
@@ -50,7 +51,6 @@ from .protocols import (
 )
 from .experiment import (
     BELL_VISIBILITY_THRESHOLD,
-    ChannelParams,
     DetectorSpec,
     CountingRates,
     RunResult,
@@ -88,6 +88,7 @@ __all__ = [
     "PROTOCOLS",
     "PROTOCOL_TABLE",
     "CHSH_OPTIMAL_ANGLES",
+    "ChannelParams",
     "Protocol",
     "ProtocolParams",
     "RateReport",
@@ -103,7 +104,6 @@ __all__ = [
     "success_prob",
     "chsh_s",
     "BELL_VISIBILITY_THRESHOLD",
-    "ChannelParams",
     "DetectorSpec",
     "CountingRates",
     "RunResult",

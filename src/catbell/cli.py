@@ -28,15 +28,16 @@ import math
 import operator
 import os
 import sys
-from dataclasses import make_dataclass, replace
+from dataclasses import make_dataclass
 from functools import cache
 from typing import NamedTuple
 
 from . import experiment
-from .experiment import ChannelParams, DetectorSpec
+from .experiment import DetectorSpec
 from .protocols import (
     PROTOCOLS,
     SQRT8,
+    ChannelParams,
     ProtocolParams,
     get_protocol,
     pipeline_prob,
@@ -46,11 +47,12 @@ from .protocols import (
 
 TABLE, CSV, JSON = "table", "csv", "json"
 OUTPUTS = (TABLE, CSV, JSON)
-# Sweep axis -> the (params p, channel c) of one step at value v.
+# Sweep axis -> the (params p, channel c) of one step at value v.  Points are built
+# by calling ProtocolParams, so its phi-regime warning names this file.
 _SWEEP_STEP = {
-    "delta_sigma_rad": lambda p, c, v: (replace(p, sigma1=v, sigma2=0.0), c),
-    "phi_rad": lambda p, c, v: (replace(p, phi=v), c),
-    "alpha": lambda p, c, v: (replace(p, alpha=v), c),
+    "delta_sigma_rad": lambda p, c, v: (ProtocolParams(p.alpha, p.phi, v, 0.0), c),
+    "phi_rad": lambda p, c, v: (ProtocolParams(p.alpha, v, p.sigma1, p.sigma2), c),
+    "alpha": lambda p, c, v: (ProtocolParams(v, p.phi, p.sigma1, p.sigma2), c),
     "distance_km_total": lambda p, c, v: (p, ChannelParams.from_total(c.loss_db_per_km, v)),
 }
 SWEEP_AXES = tuple(_SWEEP_STEP)
@@ -320,7 +322,7 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     worst = 0.0
     for which in PROTOCOLS:
         for dsig in (math.pi, math.pi / 2, 0.0):
-            point = replace(params, sigma1=dsig, sigma2=0.0)
+            point = ProtocolParams(params.alpha, params.phi, dsig, 0.0)
             try:  # first: the budget check comes before any evaluation
                 p_oracle = fock.oracle_protocol_prob(point, channel, which)
             except fock.OracleBudgetError as exc:

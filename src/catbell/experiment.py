@@ -1,9 +1,7 @@
 """Link budgets, counting statistics, and experiment planning.
 
-Distances are quoted two ways: user-facing values are always the total
-separation between the two analysis sites, internals work with the per-arm
-distance (total / 2) since the source sits midway.  Detector efficiency is
-fixed at 1; dark counts are the only detector imperfection modeled.
+Detector efficiency is fixed at 1; dark counts are the only detector
+imperfection modeled.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import numpy as np
 
 from .protocols import (
     PROTOCOL_TABLE,
+    ChannelParams,
     ProtocolParams,
     SQRT8,
     attenuate,
@@ -32,8 +31,6 @@ BELL_VISIBILITY_THRESHOLD = 1.0 / math.sqrt(2.0)
 MAX_SEARCH_KM_TOTAL = 50_000.0
 _RANGE_TOL_KM = 1e-9  # max_range's resolution, on the feasible side
 
-_MC_BLOCK_SECONDS = 1.0
-
 # Longest counting session, in blocks (11.6 days of 1 s blocks).  It also keeps
 # every block index below 2^32, one SeedSequence entropy word.
 MAX_MC_BLOCKS = 10**6
@@ -47,33 +44,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Fiber channel: attenuation in dB/km and per-arm length in km."""
-
-    loss_db_per_km: float
-    distance_km_per_arm: float
-
-    def __post_init__(self):
-        if self.loss_db_per_km < 0:
-            raise ValueError(f"loss_db_per_km must be >= 0, got {self.loss_db_per_km}")
-        if self.distance_km_per_arm < 0:
-            raise ValueError(f"distance_km_per_arm must be >= 0, got {self.distance_km_per_arm}")
-
-    @classmethod
-    def from_total(cls, loss_db_per_km: float, distance_km_total: float) -> "ChannelParams":
-        return cls(loss_db_per_km, distance_km_total / 2.0)
-
-    @property
-    def distance_km_total(self) -> float:
-        return 2.0 * self.distance_km_per_arm
-
-    @property
-    def transmittance(self) -> float:
-        """Power transmittance 10^(-loss * d / 10) of one arm."""
-        return 10.0 ** (-self.loss_db_per_km * self.distance_km_per_arm / 10.0)
-
-
-@dataclass(frozen=True)
 class DetectorSpec:
     """Single-photon detectors: dark rate and coincidence window (efficiency fixed at 1)."""
 
@@ -81,9 +51,9 @@ class DetectorSpec:
     coincidence_window_s: float = 1e-9
 
     def __post_init__(self):
-        if self.dark_rate_hz < 0:
+        if not self.dark_rate_hz >= 0:
             raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
-        if self.coincidence_window_s <= 0:
+        if not self.coincidence_window_s > 0:
             raise ValueError(
                 f"coincidence_window_s must be > 0, got {self.coincidence_window_s}"
             )
@@ -161,15 +131,6 @@ def asymptotic_visibility(alpha: float, phi: float) -> float:
     return visibility(alpha**2, phi)
 
 
-def _rate_and_visibility(params: ProtocolParams, loss_db_per_km: float,
-                         distance_km_total: float, source_rate_hz: float,
-                         which: str) -> tuple[float, float]:
-    channel = ChannelParams.from_total(loss_db_per_km, distance_km_total)
-    alpha_prime, n_lost = attenuate(params.alpha, channel)
-    p_max = success_prob(which, alpha_prime, n_lost, params.phi, math.pi)
-    return p_max * source_rate_hz, visibility(n_lost, params.phi, exact=True)
-
-
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
     """Last point found on [lo, hi] where holds is true, or hi itself when holds(hi).
 
@@ -217,8 +178,10 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
         d_peak = min(20.0 * math.log10(m / u_peak) / loss_db_per_km, MAX_SEARCH_KM_TOTAL)
 
     def checks(d: float) -> tuple[bool, bool]:
-        rate, vis = _rate_and_visibility(params, loss_db_per_km, d, source_rate_hz, which)
-        return rate >= rate_floor, vis > BELL_VISIBILITY_THRESHOLD
+        alpha_prime, n_lost = attenuate(params.alpha, ChannelParams.from_total(loss_db_per_km, d))
+        p_max = success_prob(which, alpha_prime, n_lost, params.phi, math.pi)
+        return (p_max * source_rate_hz >= rate_floor,
+                visibility(n_lost, params.phi, exact=True) > BELL_VISIBILITY_THRESHOLD)
 
     rate_ok, vis_ok = checks(d_peak)
     if not rate_ok:
@@ -360,7 +323,7 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     """
     if duration_s < 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-    if duration_s > MAX_MC_BLOCKS * _MC_BLOCK_SECONDS:
+    if duration_s > MAX_MC_BLOCKS:
         raise ValueError(f"duration_s must be <= {MAX_MC_BLOCKS} s "
                          f"(at most {MAX_MC_BLOCKS} blocks of 1 s), got {duration_s}")
     if source_rate_hz <= 0:
@@ -369,13 +332,13 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
         raise ValueError("coincidence window must be below the source pulse period")
     report = protocol_report(params, channel, which)
     dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
-    full = int(duration_s // _MC_BLOCK_SECONDS)
-    keys = _block_keys(seed, np.arange(full + (duration_s > full * _MC_BLOCK_SECONDS)))
+    full = int(duration_s)  # whole 1 s blocks
+    keys = _block_keys(seed, np.arange(full + (duration_s > full)))
     rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
     for index, key in enumerate(keys):
-        t_start = index * _MC_BLOCK_SECONDS
-        dur = _MC_BLOCK_SECONDS if index < full else duration_s - t_start
+        t_start = float(index)
+        dur = 1.0 if index < full else duration_s - t_start
         c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
                                      report.p_max, report.p_min, dark_rate * dur)
         rows.append((index, t_start, c_max, c_min))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import importlib
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,15 +27,13 @@ from .protocols import (
     BEAM_2,
     ENV_A,
     ENV_B,
+    ChannelParams,
     ProtocolParams,
     attenuate,
     build_analysis_state,
     get_protocol,
 )
 from .states import make_state
-
-if TYPE_CHECKING:
-    from .experiment import ChannelParams
 
 # Largest surviving amplitude the oracle will accept; beyond this the
 # truncated dimensions grow past what brute force should be asked to do.
@@ -193,7 +190,7 @@ def _detector_amp(nu: complex, taus: tuple[complex, ...], d: int) -> complex:
     return complex(grid[1, 1])
 
 
-def oracle_protocol_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
+def oracle_protocol_prob(params: ProtocolParams, channel: ChannelParams, which: str,
                          dim: int | None = None) -> float:
     """Protocol success probability recomputed in the truncated number basis.
 

@@ -65,7 +65,8 @@ def apply_beam_splitter(state: SuperposedState, spec: BeamSplitterSpec) -> Super
             raise ValueError(f"output mode {mode!r} already in registry")
     t = math.sqrt(1.0 - spec.reflectivity)
     r = math.sqrt(spec.reflectivity)
-    modes = _replace_modes(state.modes, {spec.in1: spec.out3, spec.in2: spec.out4})
+    renamed = {spec.in1: spec.out3, spec.in2: spec.out4}
+    modes = tuple(renamed.get(m, m) for m in state.modes)
     branches = []
     for b in state.branches:
         mu, nu = b.amps[spec.in1], b.amps[spec.in2]
@@ -115,7 +116,3 @@ def apply_displacement(state: SuperposedState, mode: str, tau: complex,
         amps[mode] = nu + tau
         branches.append(Branch(coeff, amps))
     return SuperposedState(state.modes, tuple(branches))
-
-
-def _replace_modes(modes, mapping):
-    return tuple(mapping.get(m, m) for m in modes)

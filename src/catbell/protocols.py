@@ -37,7 +37,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .optics import BeamSplitterSpec, apply_beam_splitter, apply_displacement
 from .states import (
@@ -47,9 +47,6 @@ from .states import (
     project_single_photon,
     project_vacuum,  # noqa: F401  unused; perfbench/tracing.py patches it here by name
 )
-
-if TYPE_CHECKING:
-    from .experiment import ChannelParams
 
 BEAM_1 = "beam1"
 BEAM_2 = "beam2"
@@ -82,6 +79,9 @@ class ProtocolParams:
         if not math.isfinite(self.alpha * self.alpha):
             raise ValueError(f"alpha must have a finite square (mean photon number), "
                              f"got {self.alpha}")
+        for name in ("phi", "sigma1", "sigma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.phi) >= math.pi / 4:
             # 1 is this method, 2 the dataclass __init__, 3 the caller of ProtocolParams(...)
             warnings.warn(
@@ -106,7 +106,39 @@ class RateReport:
     chsh_s: float
 
 
-def attenuate(alpha: float, channel: "ChannelParams") -> tuple[float, float]:
+@dataclass(frozen=True)
+class ChannelParams:
+    """Fiber channel: attenuation in dB/km and per-arm length in km.
+
+    Distances are quoted two ways: user-facing values are always the total
+    separation between the two analysis sites, internals work with the
+    per-arm distance (total / 2) since the source sits midway.
+    """
+
+    loss_db_per_km: float
+    distance_km_per_arm: float
+
+    def __post_init__(self):
+        if not self.loss_db_per_km >= 0:
+            raise ValueError(f"loss_db_per_km must be >= 0, got {self.loss_db_per_km}")
+        if not self.distance_km_per_arm >= 0:
+            raise ValueError(f"distance_km_per_arm must be >= 0, got {self.distance_km_per_arm}")
+
+    @classmethod
+    def from_total(cls, loss_db_per_km: float, distance_km_total: float) -> ChannelParams:
+        return cls(loss_db_per_km, distance_km_total / 2.0)
+
+    @property
+    def distance_km_total(self) -> float:
+        return 2.0 * self.distance_km_per_arm
+
+    @property
+    def transmittance(self) -> float:
+        """Power transmittance 10^(-loss * d / 10) of one arm."""
+        return 10.0 ** (-self.loss_db_per_km * self.distance_km_per_arm / 10.0)
+
+
+def attenuate(alpha: float, channel: ChannelParams) -> tuple[float, float]:
     """Surviving amplitude and mean photons lost per beam.
 
     Returns (alpha_prime, n_lost) with alpha_prime = alpha * sqrt(eta) and
@@ -145,7 +177,7 @@ def build_source_state(params: ProtocolParams) -> SuperposedState:
     )
 
 
-def build_analysis_state(params: ProtocolParams, channel: "ChannelParams") -> SuperposedState:
+def build_analysis_state(params: ProtocolParams, channel: ChannelParams) -> SuperposedState:
     """Eight-branch state of both beams after loss and both analysis interferometers.
 
     Modes are (beam1, beam2, env_a, env_b).  Beam amplitudes are
@@ -240,7 +272,7 @@ def get_protocol(which: str) -> Protocol:
         raise ValueError(f"unknown protocol {which!r}, expected one of {PROTOCOLS}") from None
 
 
-def pipeline_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
+def pipeline_prob(params: ProtocolParams, channel: ChannelParams, which: str,
                   displacement_phase: bool = True) -> float:
     """Success probability of protocol which, evaluated by the operator pipeline.
 
@@ -269,7 +301,7 @@ def pipeline_prob(params: ProtocolParams, channel: "ChannelParams", which: str,
     return state.squared_norm()
 
 
-def protocol_report(params: ProtocolParams, channel: "ChannelParams", which: str) -> RateReport:
+def protocol_report(params: ProtocolParams, channel: ChannelParams, which: str) -> RateReport:
     """Closed-form probabilities of protocol which at the configured and extremal settings.
 
     p_success is taken at delta_sigma = sigma1 - sigma2, the pipeline's sign

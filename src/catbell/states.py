@@ -14,13 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# Branches with |coefficient| at or below this are dropped by projections.
-# Zero keeps every nonvanishing branch: even coefficients around 1e-150 still
-# contribute squared norms well above the double-precision floor, and the
-# operator pipeline must track probabilities that small to stay equivalent to
-# the closed forms in their far tails.
-PRUNE_TOLERANCE = 0.0
-
 
 def overlap(mu: complex, nu: complex) -> complex:
     """Overlap <mu|nu> of two coherent states.
@@ -51,12 +44,6 @@ class Branch:
 
     coeff: complex
     amps: dict[str, complex]
-
-    def amplitude(self, mode: str) -> complex:
-        try:
-            return self.amps[mode]
-        except KeyError:
-            raise ValueError(f"branch has no mode {mode!r}") from None
 
 
 @dataclass(frozen=True)
@@ -127,10 +114,10 @@ def project_single_photon(state: SuperposedState, mode: str) -> SuperposedState:
     """Project one mode onto the single-photon state |1> and drop the mode.
 
     Each branch coefficient is multiplied by <1|nu> for that branch's amplitude
-    nu in the projected mode.  Branches whose coefficient magnitude falls at or
-    below PRUNE_TOLERANCE (in particular exact vacuum hits, <1|0> = 0) are
-    dropped.  The resulting state is subnormalized; its squared norm is the
-    probability of the detection event and everything already projected.
+    nu in the projected mode.  Branches whose coefficient is exactly zero (in
+    particular exact vacuum hits, <1|0> = 0) are dropped.  The resulting state
+    is subnormalized; its squared norm is the probability of the detection
+    event and everything already projected.
     """
     return _project(state, mode, single_photon_amp)
 
@@ -152,7 +139,10 @@ def _project(state, mode, amp_fn):
     branches = []
     for b in state.branches:
         coeff = b.coeff * amp_fn(b.amps[mode])
-        if abs(coeff) <= PRUNE_TOLERANCE:
+        # Only exact zeros: coefficients around 1e-150 still give squared norms
+        # above the double-precision floor, and the pipeline must track
+        # probabilities that small to match the closed forms in their far tails.
+        if coeff == 0:
             continue
         branches.append(Branch(coeff, {m: b.amps[m] for m in kept_modes}))
     return SuperposedState(kept_modes, tuple(branches))

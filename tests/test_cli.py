@@ -191,6 +191,18 @@ def test_rates_huge_phi_serves_with_warning():
     assert 0.0 <= report["p_min"] <= report["p_max"] <= 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "phi_rad", "--start", "0.5", "--stop", "1", "--steps", "2"],
+    ["oracle", "--alpha", "2", "--distance-km-total", "5", "--phi-rad", "0.9"],
+])
+def test_phi_warning_names_cli_for_derived_points(argv):
+    # Each sweep step and oracle point builds its own ProtocolParams from the configured one.
+    with pytest.warns(UserWarning, match="small-phase") as record:
+        code, _ = run_cli(argv)
+    assert code == 0
+    assert [w.filename for w in record] == [cli.__file__] * len(record)
+
+
 def test_rates_underflowing_envelope_is_zero():
     # u = (|a'| sin phi)^2 ~ 8e114: e^{-8u} underflows to 0 and u^4 would overflow.
     code, out = run_cli(["rates", "--alpha", "1e60", "--distance-km-total", "0",

@@ -48,6 +48,20 @@ def test_channel_params():
         ChannelParams(0.1, -10.0)
 
 
+@pytest.mark.parametrize("field, build", [
+    ("loss_db_per_km", lambda x: ChannelParams(x, 10.0)),
+    ("distance_km_per_arm", lambda x: ChannelParams(0.15, x)),
+    ("dark_rate_hz", lambda x: DetectorSpec(x, 1e-9)),
+    ("coincidence_window_s", lambda x: DetectorSpec(0.0008, x)),
+    ("phi", lambda x: ProtocolParams(100.0, x)),
+    ("sigma1", lambda x: ProtocolParams(100.0, 0.0028, x)),
+    ("sigma2", lambda x: ProtocolParams(100.0, 0.0028, 0.0, x)),
+])
+def test_model_params_refuse_nan(field, build):
+    with pytest.raises(ValueError, match=field):
+        build(math.nan)
+
+
 def test_detector_spec():
     assert DET.dark_rate_hz == 0.0008
     assert DET.coincidence_window_s == 1e-9

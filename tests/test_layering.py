@@ -1,0 +1,48 @@
+"""The package's modules import each other in one order, lower layers first.
+
+states -> optics -> protocols -> experiment / fock -> cli.  Every import of a
+catbell module, at any depth (inside functions and ``if TYPE_CHECKING:``
+blocks too), must point to a lower layer.  The package entry points
+``__init__`` and ``__main__`` may import anything.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "catbell"
+LAYERS = {"states": 0, "optics": 1, "protocols": 2, "experiment": 3, "fock": 3, "cli": 4}
+EXEMPT = {"__init__", "__main__"}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Names of the catbell modules a parsed module imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "catbell":
+                continue
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "catbell" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - EXEMPT == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_imports_point_to_lower_layers(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    upward = {name for name in _imported_modules(tree)
+              if LAYERS.get(name, len(LAYERS)) >= LAYERS[module]}
+    assert not upward, f"{module} (layer {LAYERS[module]}) imports {sorted(upward)}"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catbell import (
-    Branch,
     SuperposedState,
     add_mode,
     inner_product,
@@ -203,10 +202,3 @@ def test_add_mode():
     assert grown.branches[0].amps["k"] == 0j
     with pytest.raises(ValueError, match="already in registry"):
         add_mode(grown, "m")
-
-
-def test_branch_amplitude_lookup():
-    b = Branch(1.0 + 0j, {"m": 2j})
-    assert b.amplitude("m") == 2j
-    with pytest.raises(ValueError, match="no mode"):
-        b.amplitude("k")
