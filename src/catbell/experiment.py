@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .protocols import (
     PROTOCOL_TABLE,
@@ -34,6 +32,8 @@ _RANGE_TOL_KM = 1e-9  # max_range's resolution, on the feasible side
 # Longest counting session, in blocks (11.6 days of 1 s blocks).  It also keeps
 # every block index below 2^32, one SeedSequence entropy word.
 MAX_MC_BLOCKS = 10**6
+# Blocks keyed per vectorised pass, so a session's memory does not grow with its length.
+_KEY_CHUNK = 1 << 14
 
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -77,10 +77,12 @@ class RunResult:
     seed: int
 
     @classmethod
-    def from_blocks(cls, rows: list[tuple[int, float, int, int]], seed: int) -> "RunResult":
-        """Session totals and visibility estimate from monte_carlo_blocks rows."""
-        counts_max = sum(row[2] for row in rows)
-        counts_min = sum(row[3] for row in rows)
+    def from_blocks(cls, rows: Iterable[tuple[int, float, int, int]], seed: int) -> "RunResult":
+        """Session totals and visibility estimate from monte_carlo_blocks rows, in one pass."""
+        counts_max = counts_min = 0
+        for _, _, c_max, c_min in rows:
+            counts_max += c_max
+            counts_min += c_min
         return cls(counts_max, counts_min, *visibility_estimate(counts_max, counts_min), seed)
 
 
@@ -103,7 +105,7 @@ class PhiOptimum(NamedTuple):
 
 def counting_rates(p_max: float, p_min: float, source_rate_hz: float) -> CountingRates:
     """Scale the extreme-setting probabilities by the source repetition rate."""
-    if source_rate_hz <= 0:
+    if not source_rate_hz > 0:
         raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
     if not (0.0 <= p_max <= 1.0 and 0.0 <= p_min <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got {p_max}, {p_min}")
@@ -163,8 +165,10 @@ def max_range(params: ProtocolParams, loss_db_per_km: float, rate_floor: float,
     feasible at the cap (a lossless one) returns the cap.  limited_by names the
     constraint that fails just past the edge.  Monotone in the floor.
     """
-    if rate_floor <= 0:
+    if not rate_floor > 0:
         raise ValueError(f"rate_floor must be > 0, got {rate_floor}")
+    if not source_rate_hz > 0:
+        raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
     k = get_protocol(which).n_fold
     m = params.alpha**2 * math.sin(params.phi) ** 2
 
@@ -241,6 +245,8 @@ def _block_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     SeedSequence's output fixed across NumPy versions, and a test pins this
     function against NumPy.  Indices must lie below 2^32 (one entropy word).
     """
+    import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
+
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -306,6 +312,36 @@ def visibility_estimate(counts_max: int, counts_min: int) -> tuple[float, float]
     return vis, stderr
 
 
+def _session_rows(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+                  duration_s: float, seed: int, which: str,
+                  source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
+    """The block loop of monte_carlo_blocks, yielding each row as it is drawn."""
+    if not duration_s >= 0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
+    if duration_s > MAX_MC_BLOCKS:
+        raise ValueError(f"duration_s must be <= {MAX_MC_BLOCKS} s "
+                         f"(at most {MAX_MC_BLOCKS} blocks of 1 s), got {duration_s}")
+    if not source_rate_hz > 0:
+        raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
+    if detector.coincidence_window_s * source_rate_hz > 1.0:
+        raise ValueError("coincidence window must be below the source pulse period")
+    report = protocol_report(params, channel, which)
+    dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
+    import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
+
+    full = int(duration_s)  # whole 1 s blocks
+    n_blocks = full + (duration_s > full)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for start in range(0, n_blocks, _KEY_CHUNK):
+        keys = _block_keys(seed, np.arange(start, min(start + _KEY_CHUNK, n_blocks)))
+        for index, key in enumerate(keys, start):
+            t_start = float(index)
+            dur = 1.0 if index < full else duration_s - t_start
+            c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
+                                         report.p_max, report.p_min, dark_rate * dur)
+            yield index, t_start, c_max, c_min
+
+
 def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
                        duration_s: float, seed: int, which: str,
                        source_rate_hz: float) -> list[tuple[int, float, int, int]]:
@@ -315,44 +351,25 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     (never per pulse), plus Poisson accidentals from dark counts; a fractional
     remainder of duration_s forms a last, shorter block.  Each block's stream
     is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
-    of blocks, drawn in any order, reproduces the matching rows.  The keys of
-    all blocks are computed in one vectorised pass and one generator is
+    of blocks, drawn in any order, reproduces the matching rows.  The keys are
+    computed in vectorised passes of _KEY_CHUNK blocks and one generator is
     restarted on each, which gives counts bit-identical to building a
     SeedSequence and Philox per block.  Sessions longer than MAX_MC_BLOCKS
     blocks are refused.
     """
-    if duration_s < 0:
-        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-    if duration_s > MAX_MC_BLOCKS:
-        raise ValueError(f"duration_s must be <= {MAX_MC_BLOCKS} s "
-                         f"(at most {MAX_MC_BLOCKS} blocks of 1 s), got {duration_s}")
-    if source_rate_hz <= 0:
-        raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
-    if detector.coincidence_window_s * source_rate_hz > 1.0:
-        raise ValueError("coincidence window must be below the source pulse period")
-    report = protocol_report(params, channel, which)
-    dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
-    full = int(duration_s)  # whole 1 s blocks
-    keys = _block_keys(seed, np.arange(full + (duration_s > full)))
-    rng = np.random.Generator(np.random.Philox(key=0))
-    rows = []
-    for index, key in enumerate(keys):
-        t_start = float(index)
-        dur = 1.0 if index < full else duration_s - t_start
-        c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
-                                     report.p_max, report.p_min, dark_rate * dur)
-        rows.append((index, t_start, c_max, c_min))
-    return rows
+    return list(_session_rows(params, channel, detector, duration_s, seed, which,
+                              source_rate_hz))
 
 
 def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
                     duration_s: float, seed: int, which: str, source_rate_hz: float) -> RunResult:
     """Simulate coincidence counting at both fringe extremes for duration_s seconds.
 
-    The totals of the monte_carlo_blocks rows, with the visibility estimate.
+    The totals of the monte_carlo_blocks rows, with the visibility estimate,
+    summed as the blocks are drawn, so memory does not grow with duration_s.
     """
     return RunResult.from_blocks(
-        monte_carlo_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz),
+        _session_rows(params, channel, detector, duration_s, seed, which, source_rate_hz),
         seed)
 
 

@@ -6,12 +6,13 @@ c_0 .. c_{dim-1}, two modes a (dim1, dim2) grid.  It shares no detection
 formulas with the analytic path: displacements are exact matrix exponentials
 of the truncated generator tau*adag - conj(tau)*a (not the coherent-overlap
 recursion), beam splitters exponentiate the truncated two-mode generator one
-block of fixed n1 + n2 at a time, and single-photon amplitudes are read off as
-the n = 1 component of the evolved vector.  Only the unmeasured environment
-modes are contracted by the branch algebra (``states.inner_product``).
-Amplitudes must stay small (the truncation budget grows as |nu|^2), which is
-all the cross-checks need.  ``import catbell`` does not load this module, so
-import it as ``catbell.fock``.
+block of fixed n1 + n2 at a time, skipping blocks whose input is all zero
+(about half the work when one mode is in vacuum), and single-photon
+amplitudes are read off as the n = 1 component of the evolved vector.  Only
+the unmeasured environment modes are contracted by the branch algebra
+(``states.inner_product``).  Amplitudes must stay small (the truncation
+budget grows as |nu|^2), which is all the cross-checks need.  ``import
+catbell`` does not load this module, so import it as ``catbell.fock``.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _bs_block(theta: float, n: int, lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _bs_generator(theta: float, dim1: int, dim2: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Beam-splitter unitary on the (dim1, dim2) box as (flat indices, block) per n1 + n2.
+def _bs_generator(theta: float, dim1: int, dim2: int) -> list[tuple[np.ndarray, tuple]]:
+    """Beam-splitter unitary on the (dim1, dim2) box as (flat indices, _bs_block key) per n1 + n2.
 
     The generator conserves n1 + n2, also inside the truncated box, so the
     unitary is block-diagonal (the SU(2) structure of a lossless splitter).
@@ -143,7 +144,7 @@ def _bs_generator(theta: float, dim1: int, dim2: int) -> list[tuple[np.ndarray, 
     for n in range(dim1 + dim2 - 1):
         lo, hi = max(0, n - dim2 + 1), min(n, dim1 - 1)
         k = np.arange(lo, hi + 1)
-        blocks.append((k * dim2 + (n - k), _bs_block(theta, n, lo, hi)))
+        blocks.append((k * dim2 + (n - k), (theta, n, lo, hi)))
     return blocks
 
 
@@ -152,14 +153,20 @@ def beamsplitter_fock(grid: np.ndarray, reflectivity: float) -> np.ndarray:
 
     Matches the amplitude map (mu, nu) -> (sqrt(1-lam) mu + sqrt(lam) nu,
     -sqrt(lam) mu + sqrt(1-lam) nu) on coherent inputs, with no extra phase.
+    A block of fixed n1 + n2 whose input is all zero stays zero and is not
+    exponentiated, so with one mode in vacuum only the blocks with n1 + n2
+    below the other mode's dimension are.
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
     d1, d2 = grid.shape
     flat = grid.reshape(-1)
-    out = np.empty_like(flat)
-    for idx, block in _bs_generator(math.asin(math.sqrt(reflectivity)), d1, d2):
-        out[idx] = block @ flat[idx]
+    out = np.zeros_like(flat)
+    blocks = _bs_generator(math.asin(math.sqrt(reflectivity)), d1, d2)
+    nonzero = np.flatnonzero(flat)
+    for n in np.unique(nonzero // d2 + nonzero % d2):
+        idx, key = blocks[n]
+        out[idx] = _bs_block(*key) @ flat[idx]
     return out.reshape(d1, d2)
 
 

@@ -620,6 +620,33 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _numpy_loaded_after(code):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import io, sys, catbell, catbell.cli as cli; {code}; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_loads_no_numpy():
+    assert not _numpy_loaded_after("pass")
+
+
+def test_serving_commands_load_no_numpy():
+    # rates, plan and sweep are closed-form; only montecarlo and oracle need arrays.
+    assert not _numpy_loaded_after(
+        "codes = [cli.main(argv, stream=io.StringIO()) for argv in (['rates'], ['plan'], "
+        "['sweep', '--axis', 'distance_km_total', '--start', '0', '--stop', '100', "
+        "'--steps', '5'])]; assert codes == [0, 0, 0], codes")
+
+
+def test_montecarlo_loads_numpy():
+    assert _numpy_loaded_after(
+        "assert cli.main(['montecarlo', '--duration-s', '2'], stream=io.StringIO()) == 0")
+
+
 def test_oracle_loads_no_scipy():
     # The oracle exponentiates with numpy alone; SciPy is a test-only dependency.
     proc = subprocess.run(

@@ -425,6 +425,20 @@ def test_monte_carlo_validation():
         monte_carlo_run(REF, LINK_400, wide, 1.0, 1, "usd2", 1e9)
 
 
+@pytest.mark.parametrize("fn, args, name", [
+    (counting_rates, (0.1, 0.05, math.nan), "source_rate_hz"),
+    (max_range, (REF, 0.15, math.nan, 1e9, "usd2"), "rate_floor"),
+    (max_range, (REF, 0.15, 1.0, math.nan, "usd2"), "source_rate_hz"),
+    (monte_carlo_blocks, (REF, LINK_400, DET, math.nan, 1, "usd2", 1e9), "duration_s"),
+    (monte_carlo_blocks, (REF, LINK_400, DET, 1.0, 1, "usd2", math.nan), "source_rate_hz"),
+    (monte_carlo_run, (REF, LINK_400, DET, math.nan, 1, "usd2", 1e9), "duration_s"),
+    (monte_carlo_run, (REF, LINK_400, DET, 1.0, 1, "usd2", math.nan), "source_rate_hz"),
+])
+def test_nan_arguments_refused_by_name(fn, args, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        fn(*args)
+
+
 def test_chsh_margin():
     assert abs(chsh_margin(1.0 / math.sqrt(2.0))) < 1e-12
     assert chsh_margin(0.7310411110998499) > 0.0

@@ -14,6 +14,8 @@ from catbell.fock import (
     TAIL_TOLERANCE,
     OracleBudgetError,
     TruncationError,
+    _bs_block,
+    _bs_generator,
     _displacement_matrix,
     beamsplitter_fock,
     coherent_fock,
@@ -168,6 +170,27 @@ def test_beamsplitter_splits_single_photon():
     assert abs(abs(out[1, 0]) ** 2 - 0.5) < 1e-10
     assert abs(abs(out[0, 1]) ** 2 - 0.5) < 1e-10
     assert abs(np.vdot(out, out).real - 1.0) < 1e-10
+
+
+def test_beamsplitter_exponentiates_only_reached_blocks():
+    # Row 0 filled (mode a in vacuum), as the oracle feeds it: only the d blocks
+    # n1 + n2 < d carry amplitude, and only they are exponentiated.
+    d = 9
+    rng = np.random.default_rng(7)
+    grid = np.zeros((d, d), dtype=complex)
+    grid[0] = rng.normal(size=d) + 1j * rng.normal(size=d)
+    _bs_block.cache_clear()
+    _bs_generator.cache_clear()
+    out = beamsplitter_fock(grid, 0.5)
+    assert _bs_block.cache_info().misses == d
+    theta = math.asin(math.sqrt(0.5))
+    flat, want = grid.reshape(-1), np.zeros(d * d, dtype=complex)
+    for n in range(2 * d - 1):
+        lo, hi = max(0, n - d + 1), min(n, d - 1)
+        k = np.arange(lo, hi + 1)
+        idx = k * d + (n - k)
+        want[idx] = _bs_block(theta, n, lo, hi) @ flat[idx]
+    assert np.array_equal(out, want.reshape(d, d))
 
 
 def test_displace_two_mode_validation():
