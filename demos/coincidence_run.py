@@ -52,7 +52,7 @@ print(f"S = {s_est:.4f} +/- {s_err:.4f}"
 
 print()
 print("=== same session as block sub-ranges ===")
-blocks = monte_carlo_blocks(params, channel, detector, 1e4, SEED, "usd2", 1e9)
+blocks = list(monte_carlo_blocks(params, channel, detector, 1e4, SEED, "usd2", 1e9))
 for parts in (1, 2, 5):
     edges = [len(blocks) * k // parts for k in range(parts + 1)]
     sums = [(sum(b[2] for b in blocks[lo:hi]), sum(b[3] for b in blocks[lo:hi]))
@@ -63,6 +63,6 @@ for parts in (1, 2, 5):
 
 print()
 print("=== a shorter session is the head of a longer one ===")
-short = monte_carlo_blocks(params, channel, detector, 100.0, SEED, "usd2", 1e9)
+short = list(monte_carlo_blocks(params, channel, detector, 100.0, SEED, "usd2", 1e9))
 print(f"  first 100 blocks of the 10^4 s session equal a 100 s session: "
       f"{short == blocks[:100]}")

@@ -24,9 +24,7 @@ from .states import (
 )
 from .optics import (
     BeamSplitterSpec,
-    LossSpec,
     apply_beam_splitter,
-    apply_loss,
     apply_displacement,
 )
 from .protocols import (
@@ -38,7 +36,6 @@ from .protocols import (
     ProtocolParams,
     RateReport,
     attenuate,
-    build_source_state,
     build_analysis_state,
     get_protocol,
     usd2_displacement,
@@ -68,55 +65,3 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "SuperposedState",
-    "overlap",
-    "single_photon_amp",
-    "vacuum_amp",
-    "make_state",
-    "add_mode",
-    "inner_product",
-    "project_single_photon",
-    "project_vacuum",
-    "BeamSplitterSpec",
-    "LossSpec",
-    "apply_beam_splitter",
-    "apply_loss",
-    "apply_displacement",
-    "PROTOCOLS",
-    "PROTOCOL_TABLE",
-    "CHSH_OPTIMAL_ANGLES",
-    "ChannelParams",
-    "Protocol",
-    "ProtocolParams",
-    "RateReport",
-    "attenuate",
-    "build_source_state",
-    "build_analysis_state",
-    "get_protocol",
-    "usd2_displacement",
-    "usd4_displacements",
-    "pipeline_prob",
-    "protocol_report",
-    "visibility",
-    "success_prob",
-    "chsh_s",
-    "BELL_VISIBILITY_THRESHOLD",
-    "DetectorSpec",
-    "CountingRates",
-    "RunResult",
-    "RangeResult",
-    "PhiOptimum",
-    "counting_rates",
-    "accidental_rate",
-    "asymptotic_visibility",
-    "max_range",
-    "optimize_phi",
-    "monte_carlo_run",
-    "monte_carlo_blocks",
-    "visibility_estimate",
-    "chsh_margin",
-    "__version__",
-]

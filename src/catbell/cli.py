@@ -371,33 +371,37 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     return [record]
 
 
+def _write_bins(rows, path: str):
+    """Pass rows through, writing each as a CSV line; a failed session leaves no partial file."""
+    try:
+        bins = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --bins-out {path!r}: {exc}") from None
+    try:
+        with bins:
+            writer = csv.writer(bins, lineterminator="\n")
+            writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
+            for row in rows:
+                index, t_start, c_max, c_min = row
+                writer.writerow([index, _fmt(t_start), c_max, c_min])
+                yield row
+    except BaseException:
+        if os.path.isfile(path):  # a device such as /dev/stdout stays
+            os.remove(path)
+        raise
+
+
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
-    bins_out = args.bins_out
     params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
     if cfg.duration_s > experiment.MAX_MC_BLOCKS:  # one block per second
         raise ConfigError(f"run.duration_s: must be <= {experiment.MAX_MC_BLOCKS}, "
                           f"got {cfg.duration_s}")
-    session = (params, channel, det, cfg.duration_s, cfg.seed, cfg.protocol, cfg.source_rate_hz)
-    if bins_out is None:
-        result = experiment.monte_carlo_run(*session)
-    else:
-        try:
-            bins = open(bins_out, "w", newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --bins-out {bins_out!r}: {exc}") from None
-        try:
-            with bins:
-                blocks = experiment.monte_carlo_blocks(*session)
-                writer = csv.writer(bins, lineterminator="\n")
-                writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
-                for index, t_start, c_max, c_min in blocks:
-                    writer.writerow([index, _fmt(float(t_start)), c_max, c_min])
-        except BaseException:
-            # A refused session leaves no partial file; a device such as /dev/stdout stays.
-            if os.path.isfile(bins_out):
-                os.remove(bins_out)
-            raise
-        result = experiment.RunResult.from_blocks(blocks, cfg.seed)
+    # A refused session raises here, before --bins-out is opened.
+    rows = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
+                                         cfg.protocol, cfg.source_rate_hz)
+    if args.bins_out is not None:
+        rows = _write_bins(rows, args.bins_out)
+    result = experiment.RunResult.from_blocks(rows, cfg.seed)
     no_counts = result.counts_max + result.counts_min == 0
     if no_counts:
         print("warning: no counts collected; visibility estimate undefined",

@@ -78,7 +78,7 @@ class RunResult:
 
     @classmethod
     def from_blocks(cls, rows: Iterable[tuple[int, float, int, int]], seed: int) -> "RunResult":
-        """Session totals and visibility estimate from monte_carlo_blocks rows, in one pass."""
+        """Totals and visibility estimate of monte_carlo_blocks rows, summed as they are read."""
         counts_max = counts_min = 0
         for _, _, c_max, c_min in rows:
             counts_max += c_max
@@ -312,10 +312,25 @@ def visibility_estimate(counts_max: int, counts_min: int) -> tuple[float, float]
     return vis, stderr
 
 
-def _session_rows(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
-                  duration_s: float, seed: int, which: str,
-                  source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
-    """The block loop of monte_carlo_blocks, yielding each row as it is drawn."""
+def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+                       duration_s: float, seed: int, which: str,
+                       source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
+    """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
+
+    The session is checked on call: a bad argument, more than MAX_MC_BLOCKS
+    blocks, or a coincidence window wider than the pulse period raises
+    here, before any block is drawn.  The returned iterator then draws each
+    row as it is read, so memory does not grow with duration_s.
+
+    Counts are drawn blockwise as binomials over the pulses in each 1 s block
+    (never per pulse), plus Poisson accidentals from dark counts; a fractional
+    remainder of duration_s forms a last, shorter block.  Each block's stream
+    is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
+    of blocks, drawn in any order, reproduces the matching rows.  The keys are
+    computed in vectorised passes of _KEY_CHUNK blocks and one generator is
+    restarted on each, which gives counts bit-identical to building a
+    SeedSequence and Philox per block.
+    """
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
     if duration_s > MAX_MC_BLOCKS:
@@ -327,6 +342,12 @@ def _session_rows(params: ProtocolParams, channel: ChannelParams, detector: Dete
         raise ValueError("coincidence window must be below the source pulse period")
     report = protocol_report(params, channel, which)
     dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
+    return _draw_blocks(report.p_max, report.p_min, dark_rate, duration_s, seed, source_rate_hz)
+
+
+def _draw_blocks(p_max: float, p_min: float, dark_rate: float, duration_s: float, seed: int,
+                 source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
+    """The block loop of monte_carlo_blocks, yielding each row as it is drawn."""
     import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
 
     full = int(duration_s)  # whole 1 s blocks
@@ -338,38 +359,19 @@ def _session_rows(params: ProtocolParams, channel: ChannelParams, detector: Dete
             t_start = float(index)
             dur = 1.0 if index < full else duration_s - t_start
             c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
-                                         report.p_max, report.p_min, dark_rate * dur)
+                                         p_max, p_min, dark_rate * dur)
             yield index, t_start, c_max, c_min
-
-
-def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
-                       duration_s: float, seed: int, which: str,
-                       source_rate_hz: float) -> list[tuple[int, float, int, int]]:
-    """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
-
-    Counts are drawn blockwise as binomials over the pulses in each 1 s block
-    (never per pulse), plus Poisson accidentals from dark counts; a fractional
-    remainder of duration_s forms a last, shorter block.  Each block's stream
-    is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
-    of blocks, drawn in any order, reproduces the matching rows.  The keys are
-    computed in vectorised passes of _KEY_CHUNK blocks and one generator is
-    restarted on each, which gives counts bit-identical to building a
-    SeedSequence and Philox per block.  Sessions longer than MAX_MC_BLOCKS
-    blocks are refused.
-    """
-    return list(_session_rows(params, channel, detector, duration_s, seed, which,
-                              source_rate_hz))
 
 
 def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
                     duration_s: float, seed: int, which: str, source_rate_hz: float) -> RunResult:
     """Simulate coincidence counting at both fringe extremes for duration_s seconds.
 
-    The totals of the monte_carlo_blocks rows, with the visibility estimate,
-    summed as the blocks are drawn, so memory does not grow with duration_s.
+    The totals of the monte_carlo_blocks rows, checked on call and summed as
+    they are drawn, so memory does not grow with duration_s.
     """
     return RunResult.from_blocks(
-        _session_rows(params, channel, detector, duration_s, seed, which, source_rate_hz),
+        monte_carlo_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz),
         seed)
 
 

@@ -1,4 +1,4 @@
-"""Linear-optical elements acting branchwise on coherent superpositions.
+"""Beam splitters and displacements acting branchwise on coherent superpositions.
 
 Every element maps coherent amplitudes to coherent amplitudes, so a
 SuperposedState stays a finite branch list under each operation.  The beam
@@ -40,21 +40,6 @@ class BeamSplitterSpec:
             raise ValueError(f"beam splitter labels must be distinct, got {labels}")
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Photon loss: keep sqrt(eta) of the signal, route the rest to a fresh environment mode."""
-
-    transmittance: float
-    signal: str
-    environment: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance {self.transmittance} outside [0, 1]")
-        if self.signal == self.environment:
-            raise ValueError("signal and environment labels must differ")
-
-
 def apply_beam_splitter(state: SuperposedState, spec: BeamSplitterSpec) -> SuperposedState:
     """Mix two modes; branch coefficients are unchanged (the map is unitary)."""
     for mode in (spec.in1, spec.in2):
@@ -75,24 +60,6 @@ def apply_beam_splitter(state: SuperposedState, spec: BeamSplitterSpec) -> Super
         amps[spec.out4] = -r * mu + t * nu
         branches.append(Branch(b.coeff, amps))
     return SuperposedState(modes, tuple(branches))
-
-
-def apply_loss(state: SuperposedState, spec: LossSpec) -> SuperposedState:
-    """Attenuate one mode, adding an environment mode that records the loss."""
-    if spec.signal not in state.modes:
-        raise ValueError(f"mode {spec.signal!r} not in registry {state.modes}")
-    if spec.environment in state.modes:
-        raise ValueError(f"environment mode {spec.environment!r} already in registry")
-    t = math.sqrt(spec.transmittance)
-    r = math.sqrt(1.0 - spec.transmittance)
-    branches = []
-    for b in state.branches:
-        nu = b.amps[spec.signal]
-        amps = dict(b.amps)
-        amps[spec.signal] = t * nu
-        amps[spec.environment] = r * nu
-        branches.append(Branch(b.coeff, amps))
-    return SuperposedState(state.modes + (spec.environment,), tuple(branches))
 
 
 def apply_displacement(state: SuperposedState, mode: str, tau: complex,

@@ -153,30 +153,6 @@ def attenuate(alpha: float, channel: ChannelParams) -> tuple[float, float]:
     return alpha_prime, alpha * alpha - alpha_prime * alpha_prime
 
 
-def build_source_state(params: ProtocolParams) -> SuperposedState:
-    """Normalized two-branch source state with anti-correlated phases +-phi.
-
-    The branches are |alpha e^{i phi}, alpha e^{-i phi}> and the phase-swapped
-    partner with equal weight.  At phi = 0 the branches coincide and the state
-    reduces to a norm-1 product state.
-    """
-    a = params.alpha
-    plus = a * cmath.exp(1j * params.phi)
-    minus = a * cmath.exp(-1j * params.phi)
-    raw = make_state(
-        (BEAM_1, BEAM_2),
-        [
-            (0.5, {BEAM_1: plus, BEAM_2: minus}),
-            (0.5, {BEAM_1: minus, BEAM_2: plus}),
-        ],
-    )
-    norm = math.sqrt(raw.squared_norm())
-    return make_state(
-        raw.modes,
-        [(b.coeff / norm, b.amps) for b in raw.branches],
-    )
-
-
 def build_analysis_state(params: ProtocolParams, channel: ChannelParams) -> SuperposedState:
     """Eight-branch state of both beams after loss and both analysis interferometers.
 

@@ -574,12 +574,38 @@ def test_montecarlo_session_cap_names_field(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_montecarlo_refused_session_leaves_no_file(tmp_path, capsys):
+@pytest.mark.parametrize("existing", [None, b"block_index\n0\n"], ids=["new", "existing"])
+def test_montecarlo_refused_session_leaves_no_file(tmp_path, capsys, existing):
+    # A refused session opens no file: a new path stays absent, an old file intact.
     target = tmp_path / "bins.csv"
+    if existing is not None:
+        target.write_bytes(existing)
     code, out = run_cli(["montecarlo", "--coincidence-window-s", "1",
                          "--bins-out", str(target)])
     assert code == 1 and out == ""
     assert "coincidence window" in capsys.readouterr().err
+    if existing is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == existing
+
+
+def test_montecarlo_failed_session_removes_partial_bins(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "bins.csv"
+    drawn = []  # whether the file existed at each block's draw
+    draw = experiment._block_counts
+
+    def fail_at_block_3(*args):
+        drawn.append(target.exists())
+        if len(drawn) == 4:
+            raise ValueError("block 3 failed")
+        return draw(*args)
+
+    monkeypatch.setattr(experiment, "_block_counts", fail_at_block_3)
+    code, out = run_cli(["montecarlo", "--duration-s", "10", "--bins-out", str(target)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: block 3 failed")
+    assert drawn == [True] * 4
     assert not target.exists()
 
 

@@ -1,5 +1,6 @@
 """Link budgets, counting statistics, Monte Carlo, range and phase planning."""
 
+import itertools
 import math
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_monte_carlo_frozen_run():
 
 
 def test_monte_carlo_partition_independent():
-    rows = monte_carlo_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9)
+    rows = list(monte_carlo_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9))
     assert len(rows) == 301 and rows[-1][0] == 300
     # Any subset of blocks, drawn alone and in any order, reproduces its rows.
     picked = [300, 17, 0, 299, 5, 150, 42]
@@ -333,14 +334,14 @@ def test_monte_carlo_partition_independent():
     assert sum(r[2] for part in parts for r in part) == run.counts_max
     assert sum(r[3] for part in parts for r in part) == run.counts_min
     # A shorter session is the head of a longer one.
-    assert monte_carlo_blocks(REF, LINK_400, DET, 120.0, 9, "usd2", 1e9) == rows[:120]
+    assert list(monte_carlo_blocks(REF, LINK_400, DET, 120.0, 9, "usd2", 1e9)) == rows[:120]
 
 
 def test_monte_carlo_zero_duration():
     result = monte_carlo_run(REF, LINK_400, DET, 0.0, 1, "usd2", 1e9)
     assert (result.counts_max, result.counts_min) == (0, 0)
     assert result.estimated_visibility == 0.0 and result.stderr_visibility == 0.0
-    assert monte_carlo_blocks(REF, LINK_400, DET, 0.0, 1, "usd2", 1e9) == []
+    assert list(monte_carlo_blocks(REF, LINK_400, DET, 0.0, 1, "usd2", 1e9)) == []
     with pytest.raises(ValueError, match="duration"):
         monte_carlo_run(REF, LINK_400, DET, -1.0, 1, "usd2", 1e9)
 
@@ -378,15 +379,25 @@ def test_monte_carlo_session_cap(monkeypatch):
     monkeypatch.setattr("catbell.experiment._block_keys", keys_reached)
     # A session of exactly MAX_MC_BLOCKS blocks passes the cap; no block is drawn here.
     with pytest.raises(KeysReached):
-        monte_carlo_blocks(REF, LINK_400, DET, float(MAX_MC_BLOCKS), 1, "usd2", 1e9)
+        next(monte_carlo_blocks(REF, LINK_400, DET, float(MAX_MC_BLOCKS), 1, "usd2", 1e9))
     # One block more, even a fractional one, is refused before any key is computed.
     for duration_s in (MAX_MC_BLOCKS + 0.5, 1e300, math.inf):
         with pytest.raises(ValueError, match="duration_s must be <= 1000000"):
             monte_carlo_blocks(REF, LINK_400, DET, duration_s, 1, "usd2", 1e9)
 
 
+def test_monte_carlo_blocks_draws_as_read(monkeypatch):
+    drawn = []
+    draw = experiment._block_counts
+    monkeypatch.setattr(experiment, "_block_counts",
+                        lambda *args: drawn.append(None) or draw(*args))
+    head = list(itertools.islice(monte_carlo_blocks(REF, LINK_400, DET, 100.0, 9, "usd2", 1e9), 3))
+    assert [row[0] for row in head] == [0, 1, 2]
+    assert len(drawn) == 3
+
+
 def test_monte_carlo_blocks_sum_to_run():
-    blocks = monte_carlo_blocks(REF, LINK_400, DET, 2.5, 5, "usd2", 1e9)
+    blocks = list(monte_carlo_blocks(REF, LINK_400, DET, 2.5, 5, "usd2", 1e9))
     run = monte_carlo_run(REF, LINK_400, DET, 2.5, 5, "usd2", 1e9)
     assert [b[0] for b in blocks] == [0, 1, 2]
     assert [b[1] for b in blocks] == [0.0, 1.0, 2.0]

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from catbell import (
     BeamSplitterSpec,
-    LossSpec,
     apply_beam_splitter,
     apply_displacement,
-    apply_loss,
     make_state,
     overlap,
 )
 from catbell.fock import beamsplitter_fock, coherent_fock
+from composition import LossSpec, apply_loss, build_source_state
 
 amp = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=3.0)
 
@@ -187,7 +186,6 @@ def test_loss_validation():
 
 
 def test_conditional_phase_builds_source_amplitudes():
-    from catbell import build_source_state
     from catbell.protocols import BEAM_1, BEAM_2, ProtocolParams
 
     alpha, phi = 2.5, 0.21

@@ -15,12 +15,9 @@ from catbell import (
     PROTOCOLS,
     ChannelParams,
     DetectorSpec,
-    LossSpec,
     ProtocolParams,
     apply_displacement,
-    apply_loss,
     build_analysis_state,
-    build_source_state,
     chsh_s,
     inner_product,
     make_state,
@@ -35,6 +32,7 @@ from catbell import (
     visibility,
 )
 from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B
+from composition import LossSpec, apply_loss, build_source_state
 from conftest import channel_for, coherent_series
 from reference import reference_probs
 
