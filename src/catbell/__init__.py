@@ -21,8 +21,6 @@ from .states import (
     inner_product,
     project_single_photon,
     project_vacuum,
-)
-from .optics import (
     BeamSplitterSpec,
     apply_beam_splitter,
     apply_displacement,

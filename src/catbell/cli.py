@@ -42,7 +42,6 @@ from .protocols import (
     get_protocol,
     pipeline_prob,
     protocol_report,
-    visibility,
 )
 
 TABLE, CSV, JSON = "table", "csv", "json"
@@ -362,11 +361,11 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     # Rounded down to the 12 printed digits, the printed range is feasible too.
     distance = float(Context(12, ROUND_FLOOR).create_decimal_from_float(result.distance_km_total))
     channel = ChannelParams.from_total(cfg.loss_db_per_km, distance)
-    _, n_lost = experiment.attenuate(params.alpha, channel)
-    vis = visibility(n_lost, params.phi, exact=True)
+    report = protocol_report(params, channel, cfg.protocol)
     optimum = experiment.optimize_phi(params.alpha, channel, cfg.protocol)
-    record.update(max_range_km_total=distance, visibility_at_range=vis,
-                  chsh_s_at_range=SQRT8 * vis, chsh_margin=experiment.chsh_margin(vis),
+    record.update(max_range_km_total=distance, visibility_at_range=report.visibility,
+                  chsh_s_at_range=report.chsh_s,
+                  chsh_margin=experiment.chsh_margin(report.visibility),
                   phi_star_at_range=optimum.phi_star, phi_star_p_max=optimum.p_max)
     return [record]
 

@@ -243,13 +243,10 @@ def _block_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     np.uint64): NumPy's SeedSequence hash, run with one uint32 lane per block
     instead of one SeedSequence object per block.  NEP 19 keeps
     SeedSequence's output fixed across NumPy versions, and a test pins this
-    function against NumPy.  Indices must lie below 2^32 (one entropy word).
+    function against NumPy.  The seed is an int >= 0, indices lie below 2^32.
     """
     import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
 
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     # The seed as little-endian 32-bit words (0 is one word), then the index.
     entropy = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
                for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -338,6 +335,9 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
                          f"(at most {MAX_MC_BLOCKS} blocks of 1 s), got {duration_s}")
     if not source_rate_hz > 0:
         raise ValueError(f"source_rate_hz must be > 0, got {source_rate_hz}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if detector.coincidence_window_s * source_rate_hz > 1.0:
         raise ValueError("coincidence window must be below the source pulse period")
     report = protocol_report(params, channel, which)

@@ -26,7 +26,7 @@ form, Fock oracle, accidentals, CLI) looks a name up with ``get_protocol``.
 The closed form u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``)
 serves every rate: ``protocol_report``, and through it the CLI's rates,
 sweep and montecarlo, and the planners.  The operator pipeline built from
-the branch algebra in states/optics (``pipeline_prob``) and the Fock oracle
+the branch algebra in ``states`` (``pipeline_prob``) and the Fock oracle
 in ``catbell.fock`` only verify it: ``catbell oracle`` and the tests
 evaluate them and require agreement.
 """
@@ -39,10 +39,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .optics import BeamSplitterSpec, apply_beam_splitter, apply_displacement
 from .states import (
+    BeamSplitterSpec,
     SuperposedState,
     add_mode,
+    apply_beam_splitter,
+    apply_displacement,
     make_state,
     project_single_photon,
     project_vacuum,  # noqa: F401  unused; perfbench/tracing.py patches it here by name
@@ -95,8 +97,9 @@ class RateReport:
     """Detection probabilities at the configured and extremal analyzer settings.
 
     p_max and p_min are evaluated at analyzer phase difference pi and 0;
-    visibility = (p_max - p_min) / (p_max + p_min) and chsh_s = 2*sqrt(2) times
-    that visibility (the CHSH value at the optimal analyzer pattern).
+    visibility is visibility(n_lost, phi, exact=True), or 0 where p_max + p_min
+    is 0 in float, and chsh_s = 2*sqrt(2) times it (the CHSH value at the
+    optimal analyzer pattern).
     """
 
     p_success: float
@@ -145,7 +148,7 @@ def attenuate(alpha: float, channel: ChannelParams) -> tuple[float, float]:
     n_lost = alpha^2 - alpha_prime^2, so the photon ledger
     alpha_prime^2 + n_lost = alpha^2 holds exactly.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     alpha_prime = alpha * math.sqrt(channel.transmittance)
     # n_lost is defined so the energy ledger alpha_prime^2 + n_lost = alpha^2
@@ -292,8 +295,7 @@ def protocol_report(params: ProtocolParams, channel: ChannelParams, which: str) 
                                  math.cos(s1) * math.cos(s2) + math.sin(s1) * math.sin(s2))
     p_success, p_max, p_min = (success_prob(which, alpha_prime, n_lost, params.phi, dsig)
                                for dsig in (delta_sigma, math.pi, 0.0))
-    total = p_max + p_min
-    vis = (p_max - p_min) / total if total > 0 else 0.0
+    vis = visibility(n_lost, params.phi, exact=True) if p_max + p_min > 0 else 0.0
     return RateReport(p_success, p_max, p_min, vis, SQRT8 * vis)
 
 
@@ -304,27 +306,33 @@ def visibility(n_lost: float, phi: float, exact: bool = False) -> float:
     exact=True the sin^2 phi form carried by the environment overlaps is used.
     The two differ at O(phi^4).
     """
-    if n_lost < 0:
+    return math.exp(-_decoherence(n_lost, phi, exact))
+
+
+def _decoherence(n_lost: float, phi: float, exact: bool) -> float:
+    """The exponent y = 4 n_lost sin^2 phi (phi^2 unless exact) of V = e^{-y}."""
+    if not n_lost >= 0:
         raise ValueError(f"n_lost must be non-negative, got {n_lost}")
-    arg = math.sin(phi) ** 2 if exact else phi * phi
-    # n_lost * arg first: 4 * n_lost may overflow, and inf * 0 at phi = 0 is nan
-    return math.exp(-4.0 * (n_lost * arg))
+    # n_lost times the square first: 4 * n_lost may overflow, and inf * 0 at phi = 0 is nan
+    return 4.0 * (n_lost * (math.sin(phi) ** 2 if exact else phi * phi))
 
 
 def success_prob(which: str, alpha_prime: float, n_lost: float, phi: float,
                  delta_sigma: float) -> float:
     """Closed-form success probability u^k e^{-8u} (1 - V cos delta_sigma) / 2.
 
-    u = (|a'| sin phi)^2, V is the exact visibility and k is the protocol's
-    coincidence order.
+    u = (|a'| sin phi)^2, V = e^{-y} is the exact visibility and k is the
+    protocol's coincidence order.  The fringe is formed as 2 sin^2(delta_sigma/2)
+    - cos(delta_sigma) expm1(-y), which does not cancel where V is near 1.
     """
     k = get_protocol(which).n_fold
     u = (alpha_prime * math.sin(phi)) ** 2
     decay = math.exp(-8.0 * u)
     if decay == 0.0:
         return 0.0  # before u**k, which overflows for u large enough to underflow decay
-    vis = visibility(n_lost, phi, exact=True)
-    return u**k * decay / 2.0 * (1.0 - vis * math.cos(delta_sigma))
+    fringe = (2.0 * math.sin(delta_sigma / 2.0) ** 2
+              - math.cos(delta_sigma) * math.expm1(-_decoherence(n_lost, phi, True)))
+    return u**k * decay / 2.0 * fringe
 
 
 def chsh_s(vis: float, angles: tuple[float, float, float, float] = CHSH_OPTIMAL_ANGLES) -> float:

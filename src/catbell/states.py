@@ -1,11 +1,20 @@
 """Branch algebra for superpositions of multimode coherent states.
 
 A state is kept as an explicit list of branches, each branch being a complex
-coefficient together with one coherent amplitude per mode.  Because every mode
-of every branch stays coherent under the linear optics used here, inner
-products reduce to products of pairwise coherent-state overlaps and never
-require a Fock expansion.  Amplitudes and coefficients are plain ``complex``
-values; mode labels are plain strings.
+coefficient together with one coherent amplitude per mode.  Beam splitters and
+displacements map every coherent amplitude to a coherent amplitude, so a state
+stays a finite branch list under each of them, and inner products reduce to
+products of pairwise coherent-state overlaps without a Fock expansion.
+Amplitudes and coefficients are plain ``complex`` values; mode labels are
+plain strings.  The beam splitter uses the convention
+
+    (mu, nu) -> (sqrt(1-lam)*mu + sqrt(lam)*nu, -sqrt(lam)*mu + sqrt(1-lam)*nu)
+
+with the minus sign on the second output port.  Displacements carry the full
+unitary convention: D(tau)|nu> = exp(i*Im(tau*conj(nu))) |nu + tau>.  The
+coefficient phase can be switched off to mimic the bare amplitude-shift
+convention; for the symmetric protocols in this package the two conventions
+give identical probabilities.
 """
 
 from __future__ import annotations
@@ -132,9 +141,13 @@ def project_vacuum(state: SuperposedState, mode: str) -> SuperposedState:
     return _project(state, mode, vacuum_amp)
 
 
-def _project(state, mode, amp_fn):
+def _require_mode(state: SuperposedState, mode: str) -> None:
     if mode not in state.modes:
         raise ValueError(f"mode {mode!r} not in registry {state.modes}")
+
+
+def _project(state, mode, amp_fn):
+    _require_mode(state, mode)
     kept_modes = tuple(m for m in state.modes if m != mode)
     branches = []
     for b in state.branches:
@@ -146,3 +159,64 @@ def _project(state, mode, amp_fn):
             continue
         branches.append(Branch(coeff, {m: b.amps[m] for m in kept_modes}))
     return SuperposedState(kept_modes, tuple(branches))
+
+
+@dataclass(frozen=True)
+class BeamSplitterSpec:
+    """Reflectivity lam in [0, 1] routing (in1, in2) to (out3, out4)."""
+
+    reflectivity: float
+    in1: str
+    in2: str
+    out3: str
+    out4: str
+
+    def __post_init__(self):
+        if not 0.0 <= self.reflectivity <= 1.0:
+            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        labels = (self.in1, self.in2, self.out3, self.out4)
+        if len(set(labels)) != 4:
+            raise ValueError(f"beam splitter labels must be distinct, got {labels}")
+
+
+def apply_beam_splitter(state: SuperposedState, spec: BeamSplitterSpec) -> SuperposedState:
+    """Mix two modes; branch coefficients are unchanged (the map is unitary)."""
+    for mode in (spec.in1, spec.in2):
+        _require_mode(state, mode)
+    for mode in (spec.out3, spec.out4):
+        if mode in state.modes:
+            raise ValueError(f"output mode {mode!r} already in registry")
+    t = math.sqrt(1.0 - spec.reflectivity)
+    r = math.sqrt(spec.reflectivity)
+    renamed = {spec.in1: spec.out3, spec.in2: spec.out4}
+    modes = tuple(renamed.get(m, m) for m in state.modes)
+    branches = []
+    for b in state.branches:
+        mu, nu = b.amps[spec.in1], b.amps[spec.in2]
+        amps = {m: b.amps[m] for m in state.modes if m not in (spec.in1, spec.in2)}
+        amps[spec.out3] = t * mu + r * nu
+        amps[spec.out4] = -r * mu + t * nu
+        branches.append(Branch(b.coeff, amps))
+    return SuperposedState(modes, tuple(branches))
+
+
+def apply_displacement(state: SuperposedState, mode: str, tau: complex,
+                       include_phase: bool = True) -> SuperposedState:
+    """Displace a mode by tau: amplitudes shift nu -> nu + tau.
+
+    With include_phase (default) each branch coefficient also picks up the
+    unitary phase exp(i*Im(tau*conj(nu))); with include_phase=False the
+    coefficient is left alone, matching the amplitude-shift-only convention.
+    """
+    _require_mode(state, mode)
+    tau = complex(tau)
+    branches = []
+    for b in state.branches:
+        nu = b.amps[mode]
+        coeff = b.coeff
+        if include_phase:
+            coeff *= cmath.exp(1j * (tau * nu.conjugate()).imag)
+        amps = dict(b.amps)
+        amps[mode] = nu + tau
+        branches.append(Branch(coeff, amps))
+    return SuperposedState(state.modes, tuple(branches))

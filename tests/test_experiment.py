@@ -444,10 +444,22 @@ def test_monte_carlo_validation():
     (monte_carlo_blocks, (REF, LINK_400, DET, 1.0, 1, "usd2", math.nan), "source_rate_hz"),
     (monte_carlo_run, (REF, LINK_400, DET, math.nan, 1, "usd2", 1e9), "duration_s"),
     (monte_carlo_run, (REF, LINK_400, DET, 1.0, 1, "usd2", math.nan), "source_rate_hz"),
+    (monte_carlo_blocks, (REF, LINK_400, DET, 1.0, -1, "usd2", 1e9), "seed"),
+    (attenuate, (math.nan, LINK_400), "alpha"),
+    (visibility, (math.nan, 0.003), "n_lost"),
+    (optimize_phi, (math.nan, ChannelParams.from_total(0.15, 400.0), "usd2"), "alpha"),
 ])
 def test_nan_arguments_refused_by_name(fn, args, name):
     with pytest.raises(ValueError, match=f"{name} must be"):
         fn(*args)
+
+
+def test_monte_carlo_blocks_refuses_non_integer_seed_on_call(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(experiment, "_block_counts", lambda *args: drawn.append(args))
+    with pytest.raises(TypeError):
+        monte_carlo_blocks(REF, LINK_400, DET, 1.0, 1.5, "usd2", 1e9)
+    assert not drawn
 
 
 def test_chsh_margin():

@@ -1,6 +1,6 @@
 """The package's modules import each other in one order, lower layers first.
 
-states -> optics -> protocols -> experiment / fock -> cli.  Every import of a
+states -> protocols -> experiment / fock -> cli.  Every import of a
 catbell module, at any depth (inside functions and ``if TYPE_CHECKING:``
 blocks too), must point to a lower layer.  The package entry points
 ``__init__`` and ``__main__`` may import anything.
@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "catbell"
-LAYERS = {"states": 0, "optics": 1, "protocols": 2, "experiment": 3, "fock": 3, "cli": 4}
+LAYERS = {"states": 0, "protocols": 1, "experiment": 2, "fock": 2, "cli": 3}
 EXEMPT = {"__init__", "__main__"}
 
 

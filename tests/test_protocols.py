@@ -8,7 +8,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catbell import (
     CHSH_OPTIMAL_ANGLES,
@@ -31,7 +31,7 @@ from catbell import (
     usd4_displacements,
     visibility,
 )
-from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B
+from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B, SQRT8
 from composition import LossSpec, apply_loss, build_source_state
 from conftest import channel_for, coherent_series
 from reference import reference_probs
@@ -251,6 +251,38 @@ def test_served_report_matches_50_digit_referee(which, alpha, phi, distance, del
         assert 0.0 <= served <= 1.0
     assert 0.0 <= report.visibility <= 1.0
     assert report.chsh_s <= 2.0 * math.sqrt(2.0)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(PROTOCOLS),
+       alpha=_log_uniform(0.0, 6.0),
+       phi=_log_uniform(-6.0, math.log10(0.78)),
+       distance=st.one_of(st.just(0.0), _log_uniform(-9.0, 0.0), st.floats(0.0, 1000.0)),
+       loss=st.floats(0.0, 2.0),
+       delta_sigma=st.floats(allow_nan=False, allow_infinity=False))
+@example(which="usd2", alpha=130.0, phi=0.0234, distance=190.0, loss=0.15, delta_sigma=0.0)
+def test_served_visibility_matches_referee_to_its_error_model(which, alpha, phi, distance, loss,
+                                                              delta_sigma):
+    # The served V is visibility(n_lost, phi, exact=True) wherever p_max + p_min
+    # survives in float, and 0 (with S = 0) where it does not.
+    report = protocol_report(ProtocolParams(alpha, phi, delta_sigma, 0.0),
+                             ChannelParams.from_total(loss, distance), which)
+    assert report.chsh_s == SQRT8 * report.visibility
+    if report.p_max + report.p_min == 0:
+        assert report.visibility == 0.0
+        return
+    vis_ref = reference_probs(which, alpha, phi, loss, distance, delta_sigma)[3]
+    if vis_ref < sys.float_info.min:
+        return
+    # attenuate forms n_lost = alpha^2 - alpha'^2, which rounds n_lost to about
+    # ulp(alpha^2) and so V by 4 sin^2 phi times that; drop this term once
+    # n_lost is computed without that cancellation.
+    n_lost_rounding = 4.0 * math.sin(phi) ** 2 * alpha**2 * 2.0**-50
+    assert abs(report.visibility - vis_ref) <= (1e-12 + n_lost_rounding) * vis_ref
 
 
 def test_visibility_reference_values():
