@@ -9,9 +9,9 @@ A handler takes ``(cfg, args)`` and returns records; ``main`` alone writes them
 and picks the exit code.  Values merge from defaults, an INI file with sections
 [source], [channel], [detector], [sweep], [run], ``--set section.key=value``
 and named flags (named flags win).  Numbers must be finite; only the rate
-floor may be inf, an infeasible request.  Machine output
-(--output csv|json) carries 12 significant digits and is byte-identical for
-identical inputs; the default table view rounds to 4.
+floor may be inf, an infeasible request.  CSV and JSON output carry 12
+significant digits, byte-identical for identical inputs; JSON is exactly
+``json.dump(indent=2, sort_keys=True)`` of those values.  Tables round to 4.
 
 Exit codes: 0 success, 1 configuration, usage or model-domain error,
 2 infeasible request or oracle disagreement.
@@ -23,13 +23,13 @@ import argparse
 import configparser
 import contextlib
 import csv
-import json
 import math
 import operator
 import os
 import sys
 from dataclasses import make_dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import experiment
@@ -215,12 +215,26 @@ def _fmt(value, digits: int = 12, none: str = "") -> str:
     return str(value)
 
 
-def _json_value(value):
+def _json_literal(value) -> str:
+    """One JSON value as json.dump writes it, a float first cut to 12 significant digits."""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return str(value)
-        return float(f"{value:.12g}")
-    return value
+        return float.__repr__(float(f"{value:.12g}")) if math.isfinite(value) else f'"{value}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return encode_basestring_ascii(value)  # TypeError for any other type
+
+
+def _json_text(rows: list[dict]) -> str:
+    """The rows as json.dumps writes them with indent=2, sort_keys=True: an object for one row."""
+    pad = "\n  " if len(rows) == 1 else "\n    "
+    objects = []
+    for row in rows:
+        body = ",".join([f"{pad}{encode_basestring_ascii(k)}: {_json_literal(row[k])}"
+                         for k in sorted(row)])
+        objects.append("{" + body + pad[:-2] + "}" if body else "{}")
+    return objects[0] if len(rows) == 1 else "[\n  " + ",\n  ".join(objects) + "\n]"
 
 
 def _emit(rows: list[dict], output: str, stream) -> None:
@@ -231,10 +245,7 @@ def _emit(rows: list[dict], output: str, stream) -> None:
         for row in rows:
             writer.writerow(_fmt(v) for v in row.values())
     elif output == JSON:
-        payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-        json.dump(payload[0] if len(payload) == 1 else payload, stream,
-                  indent=2, sort_keys=True)
-        stream.write("\n")
+        stream.write(_json_text(rows) + "\n")
     else:
         for row in rows:
             width = max(len(k) for k in row)

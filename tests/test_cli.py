@@ -492,6 +492,15 @@ def test_sweep_steps_cap_refuses_before_any_row(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: sweep.steps: must be <= 1000000, got 1000001\n"
 
 
+@pytest.mark.parametrize("output", cli.OUTPUTS)
+def test_sweep_refused_at_last_step_writes_nothing(output, capsys):
+    # Steps 0 and 1 serve; step 2 is alpha = 0, which the model refuses.
+    code, out = run_cli(["sweep", "--axis", "alpha", "--start", "1", "--stop", "0",
+                         "--steps", "3", "--output", output])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: sweep value 0.0: alpha must be positive, got 0.0\n"
+
+
 @pytest.mark.parametrize("axis", ["delta_sigma_rad", "phi_rad"])
 @pytest.mark.parametrize("start, stop", [("-1e308", "1e308"), ("0", "1e308")])
 def test_sweep_overflow_names_fields(axis, start, stop, capsys):
@@ -502,6 +511,55 @@ def test_sweep_overflow_names_fields(axis, start, stop, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: sweep.start/sweep.stop: ") and "overflows" in err
+
+
+def _json_value(value):
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return str(value)
+        return float(f"{value:.12g}")
+    return value
+
+
+def _json_dump_reference(rows):
+    """json.dump of the 12-digit values: the bytes the CLI's JSON writer must match."""
+    buf = io.StringIO()
+    payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+    json.dump(payload[0] if len(payload) == 1 else payload, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+_SUBNORMAL = st.floats(0.0, sys.float_info.min, exclude_max=True)
+_JSON_FLOATS = st.one_of(
+    st.floats(),  # nan and +-inf included
+    st.sampled_from([5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.tuples(_SUBNORMAL, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1]),
+    st.integers(10**11, 10**17).map(float),
+    st.integers(10**11, 10**17).map(lambda n: -float(n)),
+)
+_JSON_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'),
+                     max_size=8)
+_JSON_VALUES = _JSON_FLOATS | st.none() | st.booleans() | st.integers() | _JSON_TEXT
+
+
+@st.composite
+def _json_rows(draw, n_rows):
+    shared = draw(st.lists(_JSON_TEXT, unique=True, max_size=5))
+    rows = []
+    for _ in range(n_rows):
+        keys = shared if draw(st.booleans()) else draw(st.lists(_JSON_TEXT, unique=True,
+                                                                  max_size=5))
+        rows.append({k: draw(_JSON_VALUES) for k in draw(st.permutations(keys))})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_json_rows(1), st.integers(2, 4).flatmap(_json_rows)))
+def test_json_writer_matches_json_dump(rows):
+    stream = io.StringIO()
+    cli._emit(rows, cli.JSON, stream)
+    assert stream.getvalue() == _json_dump_reference(rows)
 
 
 def test_montecarlo_reference_run():
