@@ -47,7 +47,7 @@ for which, total_km in (("usd4", 140.0), ("usd2", 400.0)):
     rep = protocol_report(params, ch, which)
     rates = counting_rates(rep.p_max, rep.p_min, SOURCE_RATE_HZ)
     n_fold = get_protocol(which).n_fold
-    acc = accidental_rate(detector, n_fold)
+    acc = accidental_rate(detector, which)
     print(f"{which} at {total_km:.0f} km:")
     print(f"  p_max = {rep.p_max:.3e}   p_min = {rep.p_min:.3e}")
     print(f"  fringe max {rates.r_max:.3f} counts/s   fringe min {rates.r_min:.3f} counts/s")

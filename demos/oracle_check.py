@@ -5,8 +5,9 @@ Three independent routes to the same detection probability.
    and projection with exact coherent-state algebra;
 2. closed form: u^k e^{-8u} / 2 * (1 - V cos delta_sigma) with
    u = (|alpha'| sin phi)^2 and k the coincidence order;
-3. Fock oracle: the same optics redone with truncated number-basis
-   matrices (operator exponentials, no coherent-state shortcuts).
+3. Fock oracle: the same beam splitters and displacements redone with
+   truncated number-basis matrices (operator exponentials, no
+   coherent-state shortcuts).
 
 The oracle only works for modest surviving amplitude (the truncation
 budget), so the comparison uses a short lossy link.  Agreement is at
@@ -16,8 +17,9 @@ which is the sign the truncation itself is converged.
 
 import math
 
-from catbell import PROTOCOLS, ChannelParams, ProtocolParams, attenuate, pipeline_prob, success_prob
+from catbell import PROTOCOLS, ChannelParams, ProtocolParams, attenuate, success_prob
 from catbell.fock import oracle_protocol_prob, recommended_dim
+from catbell.protocols import pipeline_prob
 
 params = ProtocolParams(alpha=3.0, phi=0.15, sigma1=2.0, sigma2=0.3)
 channel = ChannelParams(0.2, 9.0)

@@ -7,38 +7,23 @@ through loss and interferometry, reduces the click statistics to closed
 forms, cross-checks them against a truncated Fock-space oracle, simulates
 coincidence counting, and plans link budgets for Bell-inequality tests.
 
-The Fock oracle is not imported here: use ``catbell.fock``.
+This module exports the serving API: the closed-form rates, the planners and
+the Monte Carlo counter.  The verification names come from their submodules:
+the branch algebra from ``catbell.states``, the operator pipeline
+(``pipeline_prob``, ``build_analysis_state``, ``PROTOCOL_TABLE`` and the USD
+displacements) from ``catbell.protocols``, and the Fock oracle from
+``catbell.fock``.
 """
 
-from .states import (
-    Branch,
-    SuperposedState,
-    overlap,
-    single_photon_amp,
-    vacuum_amp,
-    make_state,
-    add_mode,
-    inner_product,
-    project_single_photon,
-    project_vacuum,
-    BeamSplitterSpec,
-    apply_beam_splitter,
-    apply_displacement,
-)
 from .protocols import (
     PROTOCOLS,
-    PROTOCOL_TABLE,
     CHSH_OPTIMAL_ANGLES,
     ChannelParams,
     Protocol,
     ProtocolParams,
     RateReport,
     attenuate,
-    build_analysis_state,
     get_protocol,
-    usd2_displacement,
-    usd4_displacements,
-    pipeline_prob,
     protocol_report,
     visibility,
     success_prob,

@@ -39,8 +39,6 @@ from .protocols import (
     SQRT8,
     ChannelParams,
     ProtocolParams,
-    get_protocol,
-    pipeline_prob,
     protocol_report,
 )
 
@@ -326,6 +324,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
 
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     from . import fock  # only this command needs the Fock oracle
+    from .protocols import pipeline_prob
 
     params, channel = cfg.params(), cfg.channel()
     rows = []
@@ -431,8 +430,7 @@ def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
         "s_stderr": s_err,
         "s_above_2_at_3sigma": bool(not no_counts and s_err > 0
                                     and (s_est - 2.0) / s_err > 3.0),
-        "accidental_rate_per_s": experiment.accidental_rate(
-            det, get_protocol(cfg.protocol).n_fold),
+        "accidental_rate_per_s": experiment.accidental_rate(det, cfg.protocol),
     }
     return [record]
 

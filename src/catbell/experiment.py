@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .protocols import (
-    PROTOCOL_TABLE,
     ChannelParams,
     ProtocolParams,
     SQRT8,
@@ -32,6 +31,7 @@ _RANGE_TOL_KM = 1e-9  # max_range's resolution, on the feasible side
 # Longest counting session, in blocks (11.6 days of 1 s blocks).  It also keeps
 # every block index below 2^32, one SeedSequence entropy word.
 MAX_MC_BLOCKS = 10**6
+_MAX_PULSES = 2**63 - 1  # rng.binomial takes a block's pulse count as an int64
 # Blocks keyed per vectorised pass, so a session's memory does not grow with its length.
 _KEY_CHUNK = 1 << 14
 
@@ -112,17 +112,15 @@ def counting_rates(p_max: float, p_min: float, source_rate_hz: float) -> Countin
     return CountingRates(p_max * source_rate_hz, p_min * source_rate_hz)
 
 
-def accidental_rate(detector: DetectorSpec, n_fold: int) -> float:
-    """Accidental n-fold coincidence rate from dark counts alone.
+def accidental_rate(detector: DetectorSpec, which: str) -> float:
+    """Accidental n-fold coincidence rate of protocol which, from dark counts alone.
 
     R_acc = (dark_rate * window)^(n_fold - 1) * dark_rate * n_fold: one dark
     count opens the window, the remaining n-1 detectors must each fire within
     it, and any of the n detectors may be the trigger.  The estimate is
-    independent of the source rate.  n_fold is a protocol's coincidence order.
+    independent of the source rate.  n_fold is the protocol's coincidence order.
     """
-    orders = tuple(p.n_fold for p in PROTOCOL_TABLE)
-    if n_fold not in orders:
-        raise ValueError(f"n_fold must be one of {orders}, got {n_fold}")
+    n_fold = get_protocol(which).n_fold
     dark = detector.dark_rate_hz
     window = detector.coincidence_window_s
     return (dark * window) ** (n_fold - 1) * dark * n_fold
@@ -315,9 +313,10 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
 
     The session is checked on call: a bad argument, more than MAX_MC_BLOCKS
-    blocks, or a coincidence window wider than the pulse period raises
-    here, before any block is drawn.  The returned iterator then draws each
-    row as it is read, so memory does not grow with duration_s.
+    blocks, a coincidence window wider than the pulse period, or a block of
+    more than 2^63 - 1 pulses raises here, before any block is drawn.  The
+    returned iterator then draws each row as it is read, so memory does not
+    grow with duration_s.
 
     Counts are drawn blockwise as binomials over the pulses in each 1 s block
     (never per pulse), plus Poisson accidentals from dark counts; a fractional
@@ -340,8 +339,11 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if detector.coincidence_window_s * source_rate_hz > 1.0:
         raise ValueError("coincidence window must be below the source pulse period")
+    if round(source_rate_hz * min(duration_s, 1.0)) > _MAX_PULSES:
+        raise ValueError(f"source_rate_hz must give at most {_MAX_PULSES} pulses per block, "
+                         f"got {source_rate_hz}")
     report = protocol_report(params, channel, which)
-    dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
+    dark_rate = accidental_rate(detector, which)
     return _draw_blocks(report.p_max, report.p_min, dark_rate, duration_s, seed, source_rate_hz)
 
 

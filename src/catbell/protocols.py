@@ -22,7 +22,7 @@ vacuum and counting single photons in what remains:
 The two differ only in the ports per beam (1 or 2) and the displacement of
 each port, so each is one ``Protocol`` row of ``PROTOCOL_TABLE``; the
 coincidence order k = 2 x ports follows.  Every consumer (pipeline, closed
-form, Fock oracle, accidentals, CLI) looks a name up with ``get_protocol``.
+form, Fock oracle, accidentals) looks a name up with ``get_protocol``.
 The closed form u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``)
 serves every rate: ``protocol_report``, and through it the CLI's rates,
 sweep and montecarlo, and the planners.  The operator pipeline built from
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .states import (
-    BeamSplitterSpec,
     SuperposedState,
     add_mode,
     apply_beam_splitter,
@@ -267,8 +266,8 @@ def pipeline_prob(params: ProtocolParams, channel: ChannelParams, which: str,
     else:
         state = add_mode(state, _VAC_A)
         state = add_mode(state, _VAC_B)
-        state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_A, BEAM_1, OUT_A3, OUT_A4))
-        state = apply_beam_splitter(state, BeamSplitterSpec(0.5, _VAC_B, BEAM_2, OUT_B3, OUT_B4))
+        state = apply_beam_splitter(state, 0.5, _VAC_A, BEAM_1, OUT_A3, OUT_A4)
+        state = apply_beam_splitter(state, 0.5, _VAC_B, BEAM_2, OUT_B3, OUT_B4)
         ports = ((OUT_A3, OUT_A4), (OUT_B3, OUT_B4))
     alpha_prime, _ = attenuate(params.alpha, channel)
     for port, tau in enumerate(protocol.displacements(alpha_prime, params.phi)):

@@ -161,41 +161,29 @@ def _project(state, mode, amp_fn):
     return SuperposedState(kept_modes, tuple(branches))
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """Reflectivity lam in [0, 1] routing (in1, in2) to (out3, out4)."""
-
-    reflectivity: float
-    in1: str
-    in2: str
-    out3: str
-    out4: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
-        labels = (self.in1, self.in2, self.out3, self.out4)
-        if len(set(labels)) != 4:
-            raise ValueError(f"beam splitter labels must be distinct, got {labels}")
-
-
-def apply_beam_splitter(state: SuperposedState, spec: BeamSplitterSpec) -> SuperposedState:
-    """Mix two modes; branch coefficients are unchanged (the map is unitary)."""
-    for mode in (spec.in1, spec.in2):
+def apply_beam_splitter(state: SuperposedState, reflectivity: float, in1: str, in2: str,
+                        out3: str, out4: str) -> SuperposedState:
+    """Mix (in1, in2) into (out3, out4) at a reflectivity in [0, 1]; coefficients stay."""
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
+    labels = (in1, in2, out3, out4)
+    if len(set(labels)) != 4:
+        raise ValueError(f"beam splitter labels must be distinct, got {labels}")
+    for mode in (in1, in2):
         _require_mode(state, mode)
-    for mode in (spec.out3, spec.out4):
+    for mode in (out3, out4):
         if mode in state.modes:
             raise ValueError(f"output mode {mode!r} already in registry")
-    t = math.sqrt(1.0 - spec.reflectivity)
-    r = math.sqrt(spec.reflectivity)
-    renamed = {spec.in1: spec.out3, spec.in2: spec.out4}
+    t = math.sqrt(1.0 - reflectivity)
+    r = math.sqrt(reflectivity)
+    renamed = {in1: out3, in2: out4}
     modes = tuple(renamed.get(m, m) for m in state.modes)
     branches = []
     for b in state.branches:
-        mu, nu = b.amps[spec.in1], b.amps[spec.in2]
-        amps = {m: b.amps[m] for m in state.modes if m not in (spec.in1, spec.in2)}
-        amps[spec.out3] = t * mu + r * nu
-        amps[spec.out4] = -r * mu + t * nu
+        mu, nu = b.amps[in1], b.amps[in2]
+        amps = {m: b.amps[m] for m in state.modes if m not in (in1, in2)}
+        amps[out3] = t * mu + r * nu
+        amps[out4] = -r * mu + t * nu
         branches.append(Branch(b.coeff, amps))
     return SuperposedState(modes, tuple(branches))
 

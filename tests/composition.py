@@ -13,7 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from catbell import Branch, ProtocolParams, SuperposedState, make_state
+from catbell import ProtocolParams
+from catbell.states import Branch, SuperposedState, make_state
 from catbell.protocols import BEAM_1, BEAM_2
 
 

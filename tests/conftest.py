@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from catbell import ChannelParams, accidental_rate, get_protocol, protocol_report
+from catbell import ChannelParams, accidental_rate, protocol_report
 
 
 def channel_for(alpha: float, alpha_prime: float, loss_db_per_km: float = 0.2) -> ChannelParams:
@@ -37,7 +37,7 @@ def redraw_blocks(params, channel, detector, duration_s, seed, which, source_rat
     as a partitioned session would, and compare them with a run.
     """
     report = protocol_report(params, channel, which)
-    dark_rate = accidental_rate(detector, get_protocol(which).n_fold)
+    dark_rate = accidental_rate(detector, which)
     rows = []
     for index in indices:
         dur = min(1.0, duration_s - index)

@@ -24,10 +24,10 @@ from catbell import (
     attenuate,
     max_range,
     monte_carlo_run,
-    pipeline_prob,
     protocol_report,
     success_prob,
 )
+from catbell.protocols import pipeline_prob
 from catbell.fock import oracle_protocol_prob, recommended_dim
 
 LINK_140 = ChannelParams(0.15, 70.0)
@@ -202,7 +202,7 @@ def test_criterion_08_visibility_floor_and_accidentals():
     vis = asymptotic_visibility(100.0, 0.0028)
     report = protocol_report(REF, LINK_400, "usd2")
     genuine = report.p_min * 1e9
-    accidental = accidental_rate(DetectorSpec(), 2)
+    accidental = accidental_rate(DetectorSpec(), "usd2")
     margin = genuine / accidental
     ok = (abs(vis - 0.7308) <= 5e-5
           and vis > 1.0 / math.sqrt(2.0)

@@ -243,7 +243,7 @@ def test_oracle_evaluates_pipeline_and_fock(monkeypatch):
     from catbell import fock
 
     calls = []
-    for module, name in ((cli, "pipeline_prob"), (fock, "oracle_protocol_prob")):
+    for module, name in ((protocols, "pipeline_prob"), (fock, "oracle_protocol_prob")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -642,6 +642,25 @@ def test_montecarlo_refused_session_leaves_no_file(tmp_path, capsys, existing):
                          "--bins-out", str(target)])
     assert code == 1 and out == ""
     assert "coincidence window" in capsys.readouterr().err
+    if existing is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == existing
+
+
+@pytest.mark.parametrize("existing", [None, b"block_index\n0\n"], ids=["new", "existing"])
+def test_montecarlo_pulse_count_past_int64_names_field(tmp_path, capsys, existing):
+    # 1e19 pulses in a 1 s block overflow NumPy's int64 binomial count: refused on call.
+    target = tmp_path / "bins.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    code, out = run_cli(["montecarlo", "--coincidence-window-s", "1e-20",
+                         "--source-rate-hz", "1e19", "--duration-s", "2",
+                         "--bins-out", str(target)])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: source_rate_hz must give at most 9223372036854775807 pulses")
+    assert "Traceback" not in err
     if existing is None:
         assert not target.exists()
     else:

@@ -118,15 +118,15 @@ def test_counting_rates_validation():
 
 
 def test_accidental_rate():
-    assert accidental_rate(DetectorSpec(0.0, 1e-9), 2) == 0.0
-    two_fold = accidental_rate(DET, 2)
+    assert accidental_rate(DetectorSpec(0.0, 1e-9), "usd2") == 0.0
+    two_fold = accidental_rate(DET, "usd2")
     assert math.isclose(two_fold, 1.28e-15, rel_tol=1e-9)
     # with a microsecond window the same formula gives the 1.28e-12 figure
-    assert math.isclose(accidental_rate(DetectorSpec(0.0008, 1e-6), 2), 1.28e-12,
+    assert math.isclose(accidental_rate(DetectorSpec(0.0008, 1e-6), "usd2"), 1.28e-12,
                         rel_tol=1e-9)
-    assert accidental_rate(DET, 4) < two_fold
-    with pytest.raises(ValueError, match="n_fold"):
-        accidental_rate(DET, 3)
+    assert accidental_rate(DET, "usd4") < two_fold
+    with pytest.raises(ValueError, match="unknown protocol"):
+        accidental_rate(DET, "usd3")
 
 
 def test_asymptotic_visibility():
@@ -384,6 +384,21 @@ def test_monte_carlo_session_cap(monkeypatch):
     for duration_s in (MAX_MC_BLOCKS + 0.5, 1e300, math.inf):
         with pytest.raises(ValueError, match="duration_s must be <= 1000000"):
             monte_carlo_blocks(REF, LINK_400, DET, duration_s, 1, "usd2", 1e9)
+
+
+def test_monte_carlo_pulse_count_cap(monkeypatch):
+    # rng.binomial takes an int64 pulse count: a larger block is refused on call.
+    drawn = []
+    monkeypatch.setattr(experiment, "_block_counts",
+                        lambda *args: drawn.append(args) or (0, 0))
+    narrow = DetectorSpec(0.0008, 1e-20)
+    for duration_s, rate in ((2.0, 1e19), (0.5, 2e19), (1.0, 2.0**63)):
+        with pytest.raises(ValueError, match="source_rate_hz must give at most"):
+            monte_carlo_blocks(REF, LINK_400, narrow, duration_s, 1, "usd2", rate)
+    assert not drawn
+    # The largest block is what counts: half a second of 1e19 Hz is 5e18 pulses.
+    assert len(list(monte_carlo_blocks(REF, LINK_400, narrow, 0.5, 1, "usd2", 1e19))) == 1
+    assert len(drawn) == 1
 
 
 def test_monte_carlo_blocks_draws_as_read(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from catbell import PROTOCOLS, ChannelParams, ProtocolParams, pipeline_prob, success_prob
+from catbell import PROTOCOLS, ChannelParams, ProtocolParams, success_prob
 from catbell.fock import (
     MAX_ORACLE_AMPLITUDE,
     TAIL_TOLERANCE,
@@ -24,6 +24,7 @@ from catbell.fock import (
     oracle_protocol_prob,
     recommended_dim,
 )
+from catbell.protocols import pipeline_prob
 from conftest import channel_for
 from reference import reference_probs
 

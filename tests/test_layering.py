@@ -46,3 +46,26 @@ def test_imports_point_to_lower_layers(module):
     upward = {name for name in _imported_modules(tree)
               if LAYERS.get(name, len(LAYERS)) >= LAYERS[module]}
     assert not upward, f"{module} (layer {LAYERS[module]}) imports {sorted(upward)}"
+
+
+# Verification names: importable from their submodules, not from the package root.
+STATES_NAMES = ("Branch", "SuperposedState", "overlap", "single_photon_amp", "vacuum_amp",
+                "make_state", "add_mode", "inner_product", "project_single_photon",
+                "project_vacuum", "apply_beam_splitter", "apply_displacement")
+PROTOCOLS_NAMES = ("PROTOCOL_TABLE", "build_analysis_state", "usd2_displacement",
+                   "usd4_displacements", "pipeline_prob")
+
+
+def test_package_root_serves_only():
+    import catbell
+    from catbell import cli, protocols, states
+
+    for name in STATES_NAMES + ("BeamSplitterSpec",) + PROTOCOLS_NAMES:
+        assert not hasattr(catbell, name), name
+    for name in STATES_NAMES:
+        assert hasattr(states, name), name
+    for name in PROTOCOLS_NAMES:
+        assert hasattr(protocols, name), name
+    assert not hasattr(states, "BeamSplitterSpec")
+    assert not {"pipeline_prob", "get_protocol"} & set(vars(cli))
+    assert not {"states", "fock"} & _imported_modules(ast.parse((SRC / "__init__.py").read_text()))

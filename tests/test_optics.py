@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catbell import (
-    BeamSplitterSpec,
-    apply_beam_splitter,
-    apply_displacement,
-    make_state,
-    overlap,
-)
+from catbell.states import apply_beam_splitter, apply_displacement, make_state, overlap
 from catbell.fock import beamsplitter_fock, coherent_fock
 from composition import LossSpec, apply_loss, build_source_state
 
@@ -26,8 +20,7 @@ def one_branch(m1, m2):
 
 def test_beam_splitter_half_on_vacuum_port():
     nu = 1.3 - 0.4j
-    out = apply_beam_splitter(one_branch(0j, nu),
-                              BeamSplitterSpec(0.5, "in1", "in2", "o3", "o4"))
+    out = apply_beam_splitter(one_branch(0j, nu), 0.5, "in1", "in2", "o3", "o4")
     b = out.branches[0]
     assert abs(b.amps["o3"] - nu / math.sqrt(2)) < 1e-15
     assert abs(b.amps["o4"] - nu / math.sqrt(2)) < 1e-15
@@ -36,8 +29,7 @@ def test_beam_splitter_half_on_vacuum_port():
 
 
 def test_beam_splitter_zero_reflectivity_is_identity():
-    out = apply_beam_splitter(one_branch(1 + 2j, -0.5j),
-                              BeamSplitterSpec(0.0, "in1", "in2", "o3", "o4"))
+    out = apply_beam_splitter(one_branch(1 + 2j, -0.5j), 0.0, "in1", "in2", "o3", "o4")
     assert out.branches[0].amps["o3"] == 1 + 2j
     assert out.branches[0].amps["o4"] == -0.5j
 
@@ -46,7 +38,7 @@ def test_beam_splitter_zero_reflectivity_is_identity():
 @settings(deadline=None)
 def test_beam_splitter_conserves_photon_number_and_norm(mu, nu, lam):
     state = one_branch(mu, nu)
-    out = apply_beam_splitter(state, BeamSplitterSpec(lam, "in1", "in2", "o3", "o4"))
+    out = apply_beam_splitter(state, lam, "in1", "in2", "o3", "o4")
     b = out.branches[0]
     before = abs(mu) ** 2 + abs(nu) ** 2
     after = abs(b.amps["o3"]) ** 2 + abs(b.amps["o4"]) ** 2
@@ -60,8 +52,7 @@ def test_beam_splitter_against_fock_unitary():
         mu = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
         nu = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
         lam = rng.uniform(0.1, 0.9)
-        out = apply_beam_splitter(one_branch(mu, nu),
-                                  BeamSplitterSpec(lam, "in1", "in2", "o3", "o4"))
+        out = apply_beam_splitter(one_branch(mu, nu), lam, "in1", "in2", "o3", "o4")
         b = out.branches[0]
         dim = 40
         grid = beamsplitter_fock(np.outer(coherent_fock(mu, dim), coherent_fock(nu, dim)), lam)
@@ -71,17 +62,17 @@ def test_beam_splitter_against_fock_unitary():
 
 
 def test_beam_splitter_validation():
-    with pytest.raises(ValueError, match="reflectivity"):
-        BeamSplitterSpec(1.2, "a", "b", "c", "d")
-    with pytest.raises(ValueError, match="distinct"):
-        BeamSplitterSpec(0.5, "a", "a", "c", "d")
     state = one_branch(0j, 0j)
+    with pytest.raises(ValueError, match="reflectivity"):
+        apply_beam_splitter(state, 1.2, "a", "b", "c", "d")
+    with pytest.raises(ValueError, match="distinct"):
+        apply_beam_splitter(state, 0.5, "a", "a", "c", "d")
     with pytest.raises(ValueError, match="not in registry"):
-        apply_beam_splitter(state, BeamSplitterSpec(0.5, "zz", "in2", "o3", "o4"))
+        apply_beam_splitter(state, 0.5, "zz", "in2", "o3", "o4")
     grown = make_state(("in1", "in2", "aux"),
                        [(1.0, {"in1": 0j, "in2": 0j, "aux": 0j})])
     with pytest.raises(ValueError, match="already in registry"):
-        apply_beam_splitter(grown, BeamSplitterSpec(0.5, "in1", "in2", "o3", "aux"))
+        apply_beam_splitter(grown, 0.5, "in1", "in2", "o3", "aux")
 
 
 def test_displacement_on_vacuum():

@@ -16,22 +16,30 @@ from catbell import (
     ChannelParams,
     DetectorSpec,
     ProtocolParams,
-    apply_displacement,
-    build_analysis_state,
     chsh_s,
-    inner_product,
-    make_state,
     monte_carlo_blocks,
-    pipeline_prob,
-    project_single_photon,
-    project_vacuum,
     protocol_report,
     success_prob,
-    usd2_displacement,
-    usd4_displacements,
     visibility,
 )
-from catbell.protocols import BEAM_1, BEAM_2, ENV_A, ENV_B, SQRT8
+from catbell.protocols import (
+    BEAM_1,
+    BEAM_2,
+    ENV_A,
+    ENV_B,
+    SQRT8,
+    build_analysis_state,
+    pipeline_prob,
+    usd2_displacement,
+    usd4_displacements,
+)
+from catbell.states import (
+    apply_displacement,
+    inner_product,
+    make_state,
+    project_single_photon,
+    project_vacuum,
+)
 from composition import LossSpec, apply_loss, build_source_state
 from conftest import channel_for, coherent_series
 from reference import reference_probs

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catbell import (
+from catbell.states import (
     SuperposedState,
     add_mode,
     inner_product,
