@@ -7,15 +7,16 @@ through loss and interferometry, reduces the click statistics to closed
 forms, cross-checks them against a truncated Fock-space oracle, simulates
 coincidence counting, and plans link budgets for Bell-inequality tests.
 
-This module exports the serving API: the closed-form rates, the planners and
-the Monte Carlo counter.  The verification names come from their submodules:
-the branch algebra from ``catbell.states``, the operator pipeline
-(``pipeline_prob``, ``build_analysis_state``, ``PROTOCOL_TABLE`` and the USD
-displacements) from ``catbell.protocols``, and the Fock oracle from
-``catbell.fock``.
+This module exports the serving API, all from ``catbell.experiment``, the one
+module it loads: the closed-form rates, the planners and the Monte Carlo
+counter.  The other names come from their submodules: ``PROTOCOL_TABLE`` and
+the USD displacements from ``catbell.experiment``, the branch algebra from
+``catbell.states``, the operator pipeline (``pipeline_prob``,
+``build_analysis_state``) from ``catbell.protocols``, and the Fock oracle
+from ``catbell.fock``.
 """
 
-from .protocols import (
+from .experiment import (
     PROTOCOLS,
     CHSH_OPTIMAL_ANGLES,
     ChannelParams,
@@ -28,8 +29,6 @@ from .protocols import (
     visibility,
     success_prob,
     chsh_s,
-)
-from .experiment import (
     BELL_VISIBILITY_THRESHOLD,
     DetectorSpec,
     CountingRates,

@@ -33,14 +33,8 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import experiment
-from .experiment import DetectorSpec
-from .protocols import (
-    PROTOCOLS,
-    SQRT8,
-    ChannelParams,
-    ProtocolParams,
-    protocol_report,
-)
+from .experiment import (PROTOCOLS, SQRT8, ChannelParams, DetectorSpec, ProtocolParams,
+                         protocol_report)
 
 TABLE, CSV, JSON = "table", "csv", "json"
 OUTPUTS = (TABLE, CSV, JSON)

@@ -23,17 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocols import (
-    BEAM_1,
-    BEAM_2,
-    ENV_A,
-    ENV_B,
-    ChannelParams,
-    ProtocolParams,
-    attenuate,
-    build_analysis_state,
-    get_protocol,
-)
+from .experiment import ChannelParams, ProtocolParams, attenuate, get_protocol
+from .protocols import BEAM_1, BEAM_2, ENV_A, ENV_B, build_analysis_state
 from .states import make_state
 
 # Largest surviving amplitude the oracle will accept; beyond this the

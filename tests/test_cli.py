@@ -445,9 +445,9 @@ def test_plan_prints_a_feasible_range():
     assert distance == 177.103095146
     channel = experiment.ChannelParams.from_total(0.15, distance)
     alpha_prime, n_lost = experiment.attenuate(flags["alpha"], channel)
-    rate = 1e9 * protocols.success_prob("usd2", alpha_prime, n_lost, flags["phi_rad"], math.pi)
+    rate = 1e9 * experiment.success_prob("usd2", alpha_prime, n_lost, flags["phi_rad"], math.pi)
     assert rate >= flags["rate_floor"]
-    assert protocols.visibility(n_lost, flags["phi_rad"], exact=True) > 1.0 / math.sqrt(2.0)
+    assert experiment.visibility(n_lost, flags["phi_rad"], exact=True) > 1.0 / math.sqrt(2.0)
 
 
 def test_plan_lossless_reaches_search_cap():
@@ -470,10 +470,11 @@ def test_plan_infeasible_by_visibility():
 def test_plan_visibility_edge_costs_a_handful_of_evaluations(monkeypatch):
     # Left of the rate peak the visibility edge is closed-form, not bisected.
     calls = []
+    success_prob = experiment.success_prob
 
     def counted(*args):
         calls.append(args)
-        return protocols.success_prob(*args)
+        return success_prob(*args)
 
     monkeypatch.setattr(experiment, "success_prob", counted)
     code, _ = run_cli(["plan", "--alpha", "1e100"])
@@ -665,6 +666,19 @@ def test_montecarlo_pulse_count_past_int64_names_field(tmp_path, capsys, existin
         assert not target.exists()
     else:
         assert target.read_bytes() == existing
+
+
+def test_montecarlo_dark_mean_past_poisson_names_field(tmp_path, capsys):
+    # 1e14 Hz dark counts give 2e19 accidentals in a 1 s block, past rng.poisson's largest mean.
+    target = tmp_path / "bins.csv"
+    target.write_bytes(b"keep\n")
+    code, out = run_cli(["montecarlo", "--dark-rate-hz", "1e14", "--duration-s", "1",
+                         "--bins-out", str(target)])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: dark_rate_hz must give at most 9.223372006484771e+18")
+    assert "Traceback" not in err
+    assert target.read_bytes() == b"keep\n"
 
 
 def test_montecarlo_failed_session_removes_partial_bins(tmp_path, monkeypatch, capsys):

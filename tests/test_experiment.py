@@ -401,6 +401,23 @@ def test_monte_carlo_pulse_count_cap(monkeypatch):
     assert len(drawn) == 1
 
 
+def test_monte_carlo_dark_mean_cap(monkeypatch):
+    # rng.poisson refuses a mean above _MAX_DARK_MEAN: a larger block is refused on call.
+    drawn = []
+    monkeypatch.setattr(experiment, "_block_counts",
+                        lambda *args: drawn.append(args) or (0, 0))
+    loud = DetectorSpec(1e14, 1e-9)  # 2e19 usd2 accidentals per second
+    for duration_s in (2.0, 0.5):
+        with pytest.raises(ValueError, match="dark_rate_hz must give at most"):
+            monte_carlo_blocks(REF, LINK_400, loud, duration_s, 1, "usd2", 1e9)
+    assert not drawn
+    assert len(list(monte_carlo_blocks(REF, LINK_400, loud, 0.4, 1, "usd2", 1e9))) == 1
+    rng = np.random.default_rng(0)
+    rng.poisson(experiment._MAX_DARK_MEAN)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(math.nextafter(experiment._MAX_DARK_MEAN, math.inf))
+
+
 def test_monte_carlo_blocks_draws_as_read(monkeypatch):
     drawn = []
     draw = experiment._block_counts

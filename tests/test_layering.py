@@ -1,6 +1,6 @@
 """The package's modules import each other in one order, lower layers first.
 
-states -> protocols -> experiment / fock -> cli.  Every import of a
+states / experiment -> protocols -> fock -> cli.  Every import of a
 catbell module, at any depth (inside functions and ``if TYPE_CHECKING:``
 blocks too), must point to a lower layer.  The package entry points
 ``__init__`` and ``__main__`` may import anything.
@@ -8,11 +8,13 @@ blocks too), must point to a lower layer.  The package entry points
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "catbell"
-LAYERS = {"states": 0, "protocols": 1, "experiment": 2, "fock": 2, "cli": 3}
+LAYERS = {"states": 0, "experiment": 0, "protocols": 1, "fock": 2, "cli": 3}
 EXEMPT = {"__init__", "__main__"}
 
 
@@ -52,20 +54,48 @@ def test_imports_point_to_lower_layers(module):
 STATES_NAMES = ("Branch", "SuperposedState", "overlap", "single_photon_amp", "vacuum_amp",
                 "make_state", "add_mode", "inner_product", "project_single_photon",
                 "project_vacuum", "apply_beam_splitter", "apply_displacement")
-PROTOCOLS_NAMES = ("PROTOCOL_TABLE", "build_analysis_state", "usd2_displacement",
-                   "usd4_displacements", "pipeline_prob")
+EXPERIMENT_NAMES = ("PROTOCOL_TABLE", "usd2_displacement", "usd4_displacements")
+PROTOCOLS_NAMES = ("build_analysis_state", "pipeline_prob")
 
 
 def test_package_root_serves_only():
     import catbell
-    from catbell import cli, protocols, states
+    from catbell import cli, experiment, protocols, states
 
-    for name in STATES_NAMES + ("BeamSplitterSpec",) + PROTOCOLS_NAMES:
+    for name in STATES_NAMES + ("BeamSplitterSpec",) + EXPERIMENT_NAMES + PROTOCOLS_NAMES:
         assert not hasattr(catbell, name), name
     for name in STATES_NAMES:
         assert hasattr(states, name), name
+    for name in EXPERIMENT_NAMES:
+        assert hasattr(experiment, name), name
     for name in PROTOCOLS_NAMES:
         assert hasattr(protocols, name), name
     assert not hasattr(states, "BeamSplitterSpec")
     assert not {"pipeline_prob", "get_protocol"} & set(vars(cli))
     assert not {"states", "fock"} & _imported_modules(ast.parse((SRC / "__init__.py").read_text()))
+
+
+def _loaded_after(code):
+    """catbell modules and numpy in sys.modules after a fresh interpreter runs code."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import io, sys; {code}; print(sorted(m for m in sys.modules "
+         f"if m == 'numpy' or m.split('.')[0] == 'catbell'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_serving_loads_no_verifier():
+    # The closed form serves from catbell.experiment alone; only the oracle verifies.
+    assert _loaded_after("import catbell") == {"catbell", "catbell.experiment"}
+    served = _loaded_after(
+        "import catbell.cli as cli; codes = [cli.main(argv, stream=io.StringIO()) for argv in "
+        "(['rates'], ['plan'], ['sweep', '--axis', 'alpha', '--start', '1', '--stop', '50', "
+        "'--steps', '5'])]; assert codes == [0, 0, 0], codes")
+    assert not {"catbell.states", "catbell.protocols", "numpy"} & served, served
+    oracle = _loaded_after(
+        "import catbell.cli as cli; assert cli.main(['oracle', '--alpha', '2', "
+        "'--distance-km-total', '0'], stream=io.StringIO()) == 0")
+    assert {"catbell.protocols", "catbell.fock"} <= oracle, oracle

@@ -177,7 +177,8 @@ def test_loss_validation():
 
 
 def test_conditional_phase_builds_source_amplitudes():
-    from catbell.protocols import BEAM_1, BEAM_2, ProtocolParams
+    from catbell.experiment import ProtocolParams
+    from catbell.protocols import BEAM_1, BEAM_2
 
     alpha, phi = 2.5, 0.21
     plus, minus = alpha * cmath.exp(1j * phi), alpha * cmath.exp(-1j * phi)

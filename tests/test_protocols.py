@@ -22,16 +22,14 @@ from catbell import (
     success_prob,
     visibility,
 )
+from catbell.experiment import SQRT8, usd2_displacement, usd4_displacements
 from catbell.protocols import (
     BEAM_1,
     BEAM_2,
     ENV_A,
     ENV_B,
-    SQRT8,
     build_analysis_state,
     pipeline_prob,
-    usd2_displacement,
-    usd4_displacements,
 )
 from catbell.states import (
     apply_displacement,
