@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import math
 import operator
@@ -111,13 +110,18 @@ _FIELD_AT = {(f.section, f.key): f for f in FIELDS}
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
-@contextlib.contextmanager
-def _model(source: str):
-    """Turn a model-side ValueError into a ConfigError that names its source."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+class _model:
+    """Context manager: turn a model-side ValueError into a ConfigError that names its source."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, ValueError):
+            raise ConfigError(f"{self.source}: {exc}") from None
 
 
 class _ModelInputs:
@@ -208,9 +212,19 @@ def _fmt(value, digits: int = 12, none: str = "") -> str:
 
 
 def _json_literal(value) -> str:
-    """One JSON value as json.dump writes it, a float first cut to 12 significant digits."""
+    """One JSON value as json.dump writes it, a float first cut to 12 significant digits.
+
+    That float's repr has the digits of its .12g text, which is already the
+    literal save where repr differs: it adds ".0" to an integral value, writes
+    1e12 to 1e16 in fixed notation, and keeps fewer digits of a subnormal.
+    """
     if isinstance(value, float):
-        return float.__repr__(float(f"{value:.12g}")) if math.isfinite(value) else f'"{value}"'
+        if not math.isfinite(value):
+            return f'"{value}"'
+        text = f"{value:.12g}"
+        if text.endswith(("e+12", "e+13", "e+14", "e+15")) or abs(value) < sys.float_info.min:
+            return float.__repr__(float(text))
+        return text if "." in text or "e" in text else text + ".0"
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -221,10 +235,13 @@ def _json_literal(value) -> str:
 def _json_text(rows: list[dict]) -> str:
     """The rows as json.dumps writes them with indent=2, sort_keys=True: an object for one row."""
     pad = "\n  " if len(rows) == 1 else "\n    "
+    heads = {}  # a row's key tuple -> its sorted (key, line head) pairs
     objects = []
     for row in rows:
-        body = ",".join([f"{pad}{encode_basestring_ascii(k)}: {_json_literal(row[k])}"
-                         for k in sorted(row)])
+        keys = tuple(row)
+        if keys not in heads:
+            heads[keys] = [(k, f"{pad}{encode_basestring_ascii(k)}: ") for k in sorted(keys)]
+        body = ",".join([head + _json_literal(row[k]) for k, head in heads[keys]])
         objects.append("{" + body + pad[:-2] + "}" if body else "{}")
     return objects[0] if len(rows) == 1 else "[\n  " + ",\n  ".join(objects) + "\n]"
 

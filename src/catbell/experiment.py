@@ -17,8 +17,8 @@ coincidence order k = 2 x ports follows.  Every consumer (closed form,
 accidentals, planners, pipeline, Fock oracle) looks a name up with
 ``get_protocol``.
 
-The closed form u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``)
-serves every rate: ``protocol_report``, and through it the CLI's rates,
+The closed form u^k e^{-8u} (1 - V cos delta_sigma)/2 (``success_prob``, and
+``protocol_report`` from the same parts) serves every rate: the CLI's rates,
 sweep and montecarlo, and the planners.  This module imports no other
 catbell module, so serving never loads the branch algebra.  The operator
 pipeline in ``catbell.protocols`` and the Fock oracle in ``catbell.fock``
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -189,7 +190,8 @@ def protocol_report(params: ProtocolParams, channel: ChannelParams, which: str) 
 
     p_success is taken at delta_sigma = sigma1 - sigma2, the pipeline's sign
     convention.  Analyzer phases so large that the difference overflows are
-    combined through their sines and cosines instead.
+    combined through their sines and cosines instead.  success_prob's envelope
+    and y are evaluated once, for the three probabilities and V = e^{-y}.
     """
     alpha_prime, n_lost = attenuate(params.alpha, channel)
     s1, s2 = params.sigma1, params.sigma2
@@ -197,9 +199,13 @@ def protocol_report(params: ProtocolParams, channel: ChannelParams, which: str) 
     if math.isinf(delta_sigma):
         delta_sigma = math.atan2(math.sin(s1) * math.cos(s2) - math.cos(s1) * math.sin(s2),
                                  math.cos(s1) * math.cos(s2) + math.sin(s1) * math.sin(s2))
-    p_success, p_max, p_min = (success_prob(which, alpha_prime, n_lost, params.phi, dsig)
-                               for dsig in (delta_sigma, math.pi, 0.0))
-    vis = visibility(n_lost, params.phi, exact=True) if p_max + p_min > 0 else 0.0
+    envelope = _envelope(which, alpha_prime, params.phi)
+    if envelope is None:
+        return RateReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    y = _decoherence(n_lost, params.phi, True)
+    p_success, p_max, p_min = (_fringe(delta_sigma, y) * envelope, _fringe(math.pi, y) * envelope,
+                               _fringe(0.0, y) * envelope)
+    vis = math.exp(-y) if p_max + p_min > 0 else 0.0  # visibility(n_lost, phi, exact=True)
     return RateReport(p_success, p_max, p_min, vis, SQRT8 * vis)
 
 
@@ -226,17 +232,29 @@ def success_prob(which: str, alpha_prime: float, n_lost: float, phi: float,
     """Closed-form success probability u^k e^{-8u} (1 - V cos delta_sigma) / 2.
 
     u = (|a'| sin phi)^2, V = e^{-y} is the exact visibility and k is the
-    protocol's coincidence order.  The fringe is formed as 2 sin^2(delta_sigma/2)
-    - cos(delta_sigma) expm1(-y), which does not cancel where V is near 1.
+    protocol's coincidence order.  It is 0 where e^{-8u} underflows.
     """
+    envelope = _envelope(which, alpha_prime, phi)
+    if envelope is None:
+        return 0.0
+    return _fringe(delta_sigma, _decoherence(n_lost, phi, True)) * envelope
+
+
+def _envelope(which: str, alpha_prime: float, phi: float) -> float | None:
+    """The envelope u^k e^{-8u} / 2 of success_prob, or None where e^{-8u} underflows."""
     k = get_protocol(which).n_fold
     u = (alpha_prime * math.sin(phi)) ** 2
     decay = math.exp(-8.0 * u)
     if decay == 0.0:
-        return 0.0  # before u**k, which overflows for u large enough to underflow decay
-    fringe = (2.0 * math.sin(delta_sigma / 2.0) ** 2
-              - math.cos(delta_sigma) * math.expm1(-_decoherence(n_lost, phi, True)))
-    return u**k * decay / 2.0 * fringe
+        return None  # before u**k, which overflows for u large enough to underflow decay
+    if decay < sys.float_info.min:  # a subnormal decay has already lost digits
+        return math.exp(k * math.log(u) - 8.0 * u) / 2.0
+    return u**k * decay / 2.0
+
+
+def _fringe(delta_sigma: float, y: float) -> float:
+    """1 - V cos delta_sigma with V = e^{-y}, in a form that does not cancel where V is near 1."""
+    return 2.0 * math.sin(delta_sigma / 2.0) ** 2 - math.cos(delta_sigma) * math.expm1(-y)
 
 
 def chsh_s(vis: float, angles: tuple[float, float, float, float] = CHSH_OPTIMAL_ANGLES) -> float:

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catbell import cli, experiment, protocols
 
@@ -161,6 +161,19 @@ def test_model_layer_errors_exit_1(argv, capsys):
         assert run_cli(argv)[0] == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_model_context_translates_only_value_errors():
+    with pytest.raises(cli.ConfigError) as info:
+        with cli._model("source"):
+            raise ValueError("alpha must be positive")
+    assert str(info.value) == "source: alpha must be positive"
+    assert info.value.__suppress_context__ and info.value.__cause__ is None
+    error = TypeError("not a number")
+    with pytest.raises(TypeError) as info:
+        with cli._model("source"):
+            raise error
+    assert info.value is error
 
 
 def test_usd4_at_zero_km_serves():
@@ -555,8 +568,22 @@ def _json_rows(draw, n_rows):
     return rows
 
 
+# Edges of _json_literal's .12g fast path: repr's switch to fixed notation at
+# 1e12 and back at 1e16, the 1e-4 switch, integral values, subnormals.
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_json_rows(1), st.integers(2, 4).flatmap(_json_rows)))
+@example([{"x": 1e12}, {"x": -1e12}])
+@example([{"x": 999999999999.5}, {"x": -999999999999.5}])
+@example([{"x": 1.23456789012e14}, {"x": -1.23456789012e14}])
+@example([{"x": 9.9999999999995e15}, {"x": -9.9999999999995e15}])
+@example([{"x": 1e16}, {"x": -1e16}])
+@example([{"x": 1e-4}, {"x": -1e-4}])
+@example([{"x": 9.99999999999995e-05}, {"x": -9.99999999999995e-05}])
+@example([{"x": 5.0}, {"x": -5.0}])
+@example([{"x": -0.0}])
+@example([{"x": 2.225073858507201e-308}, {"x": -2.225073858507201e-308}])
+@example([{"x": sys.float_info.min}, {"x": -sys.float_info.min}])
+@example([{"x": 5e-324}, {"x": -5e-324}])
 def test_json_writer_matches_json_dump(rows):
     stream = io.StringIO()
     cli._emit(rows, cli.JSON, stream)

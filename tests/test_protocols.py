@@ -16,12 +16,14 @@ from catbell import (
     ChannelParams,
     DetectorSpec,
     ProtocolParams,
+    attenuate,
     chsh_s,
     monte_carlo_blocks,
     protocol_report,
     success_prob,
     visibility,
 )
+from catbell import experiment
 from catbell.experiment import SQRT8, usd2_displacement, usd4_displacements
 from catbell.protocols import (
     BEAM_1,
@@ -289,6 +291,70 @@ def test_served_visibility_matches_referee_to_its_error_model(which, alpha, phi,
     # n_lost is computed without that cancellation.
     n_lost_rounding = 4.0 * math.sin(phi) ** 2 * alpha**2 * 2.0**-50
     assert abs(report.visibility - vis_ref) <= (1e-12 + n_lost_rounding) * vis_ref
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(PROTOCOLS),
+       alpha=_log_uniform(0.0, 6.0),
+       phi=_log_uniform(-6.0, math.log10(0.78)),
+       distance=st.one_of(st.just(0.0), _log_uniform(-9.0, 0.0), st.floats(0.0, 1000.0)),
+       loss=st.floats(0.0, 2.0),
+       sigma1=_FINITE,
+       sigma2=st.one_of(st.just(0.0), _FINITE))
+@example(which="usd4", alpha=1e6, phi=0.5, distance=0.0, loss=0.0, sigma1=0.3,
+         sigma2=0.0)  # e^{-8u} underflows
+@example(which="usd2", alpha=100.0, phi=0.0028, distance=400.0, loss=0.15, sigma1=1e308,
+         sigma2=-1e308)  # sigma1 - sigma2 overflows
+def test_report_serves_closed_form_and_exact_visibility(which, alpha, phi, distance, loss,
+                                                        sigma1, sigma2):
+    # protocol_report shares success_prob's parts; its numbers are those of
+    # success_prob at (delta_sigma, pi, 0) and of the exact visibility, bit for bit.
+    channel = ChannelParams.from_total(loss, distance)
+    report = protocol_report(ProtocolParams(alpha, phi, sigma1, sigma2), channel, which)
+    alpha_prime, n_lost = attenuate(alpha, channel)
+    delta_sigma = sigma1 - sigma2
+    if math.isinf(delta_sigma):
+        s1, s2 = sigma1, sigma2
+        delta_sigma = math.atan2(math.sin(s1) * math.cos(s2) - math.cos(s1) * math.sin(s2),
+                                 math.cos(s1) * math.cos(s2) + math.sin(s1) * math.sin(s2))
+    p_success, p_max, p_min = (success_prob(which, alpha_prime, n_lost, phi, dsig)
+                               for dsig in (delta_sigma, math.pi, 0.0))
+    vis = visibility(n_lost, phi, exact=True) if p_max + p_min > 0 else 0.0
+    want = (p_success, p_max, p_min, vis, SQRT8 * vis)
+    served = (report.p_success, report.p_max, report.p_min, report.visibility, report.chsh_s)
+    assert [x.hex() for x in served] == [x.hex() for x in want]
+
+
+def test_report_looks_its_protocol_up_once(monkeypatch):
+    calls = []
+    lookup = experiment.get_protocol
+    monkeypatch.setattr(experiment, "get_protocol",
+                        lambda which: calls.append(which) or lookup(which))
+    protocol_report(ProtocolParams(REF.alpha, REF.phi, 0.4, 0.0), LINK_400, "usd4")
+    assert calls == ["usd4"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.sampled_from(PROTOCOLS),
+       eight_u=st.floats(708.5, 745.0),
+       phi=_log_uniform(-5.0, math.log10(0.78)),
+       distance=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       loss=st.floats(0.0, 0.3))
+@example(which="usd4", eight_u=721.0788134206889, phi=0.005175221742068319, distance=0.0,
+         loss=0.0)  # e^{-8u} = 6.9e-314
+def test_envelope_keeps_its_digits_where_decay_is_subnormal(which, eight_u, phi, distance, loss):
+    # alpha is set so that 8u = 8 alpha'^2 sin^2 phi is about eight_u, where
+    # e^{-8u} is subnormal; p_max keeps its digits wherever it is a normal float.
+    channel = ChannelParams.from_total(loss, distance)
+    alpha = math.sqrt(eight_u / 8.0 / channel.transmittance) / math.sin(phi)
+    report = protocol_report(ProtocolParams(alpha, phi), channel, which)
+    p_max = reference_probs(which, alpha, phi, loss, distance, 0.0)[1]
+    if p_max < sys.float_info.min:
+        return
+    assert abs(report.p_max - p_max) <= 1e-12 * p_max
 
 
 def test_visibility_reference_values():
