@@ -6,13 +6,15 @@ c_0 .. c_{dim-1}, two modes a (dim1, dim2) grid.  It shares no detection
 formulas with the analytic path: displacements are exact matrix exponentials
 of the truncated generator tau*adag - conj(tau)*a (not the coherent-overlap
 recursion), beam splitters exponentiate the truncated two-mode generator one
-block of fixed n1 + n2 at a time, skipping blocks whose input is all zero
-(about half the work when one mode is in vacuum), and single-photon
-amplitudes are read off as the n = 1 component of the evolved vector.  Only
-the unmeasured environment modes are contracted by the branch algebra
-(``states.inner_product``).  Amplitudes must stay small (the truncation
-budget grows as |nu|^2), which is all the cross-checks need.  ``import
-catbell`` does not load this module, so import it as ``catbell.fock``.
+block of fixed n1 + n2 at a time, skipping blocks whose input is all zero,
+and single-photon amplitudes are read off as the n = 1 component of the
+evolved vector.  The four-fold detector splits a beam with one port in vacuum,
+so its split grid is M[k, j] c[k + j], M the first columns of those blocks,
+and only the grid rows and columns that the n = 1 readout and the tail checks
+read are displaced.  Only the unmeasured environment modes are contracted by
+the branch algebra (``states.inner_product``).  Amplitudes must stay small
+(the truncation budget grows as |nu|^2), which is all the cross-checks need.
+``import catbell`` does not load this module, so import it as ``catbell.fock``.
 """
 
 from __future__ import annotations
@@ -161,31 +163,42 @@ def beamsplitter_fock(grid: np.ndarray, reflectivity: float) -> np.ndarray:
     return out.reshape(d1, d2)
 
 
-def displace_two_mode(grid: np.ndarray, mode: int, tau: complex) -> np.ndarray:
-    """Displace one mode of a (dim1, dim2) two-mode grid by tau."""
-    d1, d2 = grid.shape
-    if mode == 0:
-        out = _displacement_matrix(complex(tau), d1) @ grid
-    elif mode == 1:
-        out = grid @ _displacement_matrix(complex(tau), d2).T
-    else:
-        raise ValueError(f"mode must be 0 or 1, got {mode}")
-    _check_tail(out.reshape(-1), f"displace_two_mode(mode={mode}, tau={tau})")
-    return out
+@lru_cache(maxsize=32)
+def _vacuum_split(dim: int) -> np.ndarray:
+    """50/50 splitter response M[k, j] = <k, j|U|0, k + j>, the first columns of its blocks."""
+    theta = math.asin(math.sqrt(0.5))
+    m = np.zeros((dim, dim))
+    for n in range(dim):
+        k = np.arange(n + 1)
+        m[k, n - k] = _bs_block(theta, n, 0, n)[:, 0]
+    return m
+
+
+def split_vacuum_port(c: np.ndarray) -> np.ndarray:
+    """beamsplitter_fock(|0> x c, 0.5) in one pass: the grid M[k, j] c[k + j]."""
+    d = len(c)
+    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate((c, np.zeros(d - 1))), d)
+    return _vacuum_split(d) * hankel
 
 
 @lru_cache(maxsize=16)
 def _detector_amp(nu: complex, taus: tuple[complex, ...], d: int) -> complex:
-    """Amplitude of one photon at each port of beam nu after taus (independent of the sigmas)."""
+    """Amplitude of one photon at each port of beam nu after taus (independent of the sigmas).
+
+    With two ports only the entries read are formed: rows 1 and d - 1 of the
+    left-displaced split grid, then their products with the right displacement
+    at columns 1 and d - 5 .. d - 1, so both tail windows are checked.
+    """
     if len(taus) == 1:
         return complex(displace_fock(coherent_fock(nu, d), taus[0])[1])
     left, right = taus
-    grid = np.zeros((d, d), dtype=complex)
-    grid[0] = coherent_fock(nu, d)
-    grid = beamsplitter_fock(grid, 0.5)
-    grid = displace_two_mode(grid, 0, left)
-    grid = displace_two_mode(grid, 1, right)
-    return complex(grid[1, 1])
+    grid = split_vacuum_port(coherent_fock(nu, d))
+    rows = _displacement_matrix(complex(left), d)[[1, d - 1]] @ grid
+    _check_tail(rows[1], f"displace_two_mode(mode=0, tau={left})")
+    cols = np.r_[1, d - TAIL_WINDOW:d]
+    out = rows @ _displacement_matrix(complex(right), d)[cols].T
+    _check_tail(out[1], f"displace_two_mode(mode=1, tau={right})")
+    return complex(out[0, 0])
 
 
 def oracle_protocol_prob(params: ProtocolParams, channel: ChannelParams, which: str,
@@ -209,8 +222,8 @@ def oracle_protocol_prob(params: ProtocolParams, channel: ChannelParams, which: 
     protocol = get_protocol(which)
     state = build_analysis_state(params, channel)
     taus = protocol.displacements(alpha_prime, params.phi)
-    d = dim or recommended_dim((2.0 * alpha_prime) ** 2 if protocol.ports == 1
-                               else 2.0 * alpha_prime**2)
+    d = dim if dim is not None else recommended_dim(
+        (2.0 * alpha_prime) ** 2 if protocol.ports == 1 else 2.0 * alpha_prime**2)
     env = make_state((ENV_A, ENV_B), [
         (b.coeff * _detector_amp(b.amps[BEAM_1], taus, d) * _detector_amp(b.amps[BEAM_2], taus, d),
          {ENV_A: b.amps[ENV_A], ENV_B: b.amps[ENV_B]})

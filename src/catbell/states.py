@@ -67,21 +67,16 @@ class SuperposedState:
             raise ValueError(f"duplicate mode labels in registry {self.modes}")
         registry = set(self.modes)
         for branch in self.branches:
-            if set(branch.amps) != registry:
+            if branch.amps.keys() != registry:
                 missing = registry.symmetric_difference(branch.amps)
                 raise ValueError(f"branch modes disagree with registry on {sorted(missing)}")
-            if not _is_finite(branch.coeff):
+            if not cmath.isfinite(branch.coeff):
                 raise ValueError("non-finite branch coefficient")
-            for amp in branch.amps.values():
-                if not _is_finite(amp):
-                    raise ValueError("non-finite coherent amplitude")
+            if not all(map(cmath.isfinite, branch.amps.values())):
+                raise ValueError("non-finite coherent amplitude")
 
     def squared_norm(self) -> float:
         return inner_product(self, self).real
-
-
-def _is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def make_state(modes, branches) -> SuperposedState:

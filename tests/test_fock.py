@@ -16,13 +16,14 @@ from catbell.fock import (
     TruncationError,
     _bs_block,
     _bs_generator,
+    _detector_amp,
     _displacement_matrix,
     beamsplitter_fock,
     coherent_fock,
     displace_fock,
-    displace_two_mode,
     oracle_protocol_prob,
     recommended_dim,
+    split_vacuum_port,
 )
 from catbell.protocols import pipeline_prob
 from conftest import channel_for
@@ -174,7 +175,7 @@ def test_beamsplitter_splits_single_photon():
 
 
 def test_beamsplitter_exponentiates_only_reached_blocks():
-    # Row 0 filled (mode a in vacuum), as the oracle feeds it: only the d blocks
+    # Row 0 filled (mode a in vacuum), the oracle's four-fold input: only the d blocks
     # n1 + n2 < d carry amplitude, and only they are exponentiated.
     d = 9
     rng = np.random.default_rng(7)
@@ -194,10 +195,49 @@ def test_beamsplitter_exponentiates_only_reached_blocks():
     assert np.array_equal(out, want.reshape(d, d))
 
 
-def test_displace_two_mode_validation():
-    tm = np.outer(coherent_fock(0j, 30), coherent_fock(0j, 30))
-    with pytest.raises(ValueError, match="mode must be 0 or 1"):
-        displace_two_mode(tm, 2, 1.0)
+@pytest.mark.parametrize("dim", [9, 49, 96])
+@pytest.mark.parametrize("nu", [0j, 0.3 + 0.1j, -1.2j, 1.9 * cmath.exp(0.7j), -2.0 + 0j])
+def test_split_vacuum_port_is_beamsplitter_bit_for_bit(dim, nu):
+    grid = np.zeros((dim, dim), dtype=complex)
+    grid[0] = coherent_fock(nu, dim)
+    assert np.array_equal(split_vacuum_port(grid[0]), beamsplitter_fock(grid, 0.5))
+
+
+@pytest.mark.parametrize("dim", [49, 96])
+@pytest.mark.parametrize("nu", [0.3 + 0.1j, -1.2j, 1.9 * cmath.exp(0.7j)])
+def test_detector_amp_matches_full_two_mode_displacement(dim, nu):
+    # Reference: displace both modes of the whole split grid, then read [1, 1].
+    left, right = 0.8 - 1.1j, -0.4 + 1.3j
+    grid = np.zeros((dim, dim), dtype=complex)
+    grid[0] = coherent_fock(nu, dim)
+    full = _displacement_matrix(left, dim) @ beamsplitter_fock(grid, 0.5)
+    full = full @ _displacement_matrix(right, dim).T
+    # Only the summation order differs: at most dim roundings of unit-sized terms.
+    assert abs(_detector_amp(nu, (left, right), dim) - full[1, 1]) <= dim * np.finfo(float).eps
+
+
+# usd4 at surviving amplitude 3 and 0 km: the split beam needs d = 32 before
+# both displaced modes keep their top components empty.
+PINNED_PARAMS = ProtocolParams(3.0, 0.15, math.pi, 0.0)
+PINNED_CHANNEL = ChannelParams.from_total(0.2, 0.0)
+
+
+@pytest.mark.parametrize("dim, mode", [(14, 0), (16, 0), (18, 0), (20, 0), (24, 1), (30, 1)])
+def test_oracle_two_mode_tail_checks(dim, mode):
+    with pytest.raises(TruncationError, match=rf"\(mode={mode}, tau=") as err:
+        oracle_protocol_prob(PINNED_PARAMS, PINNED_CHANNEL, "usd4", dim=dim)
+    assert err.value.tail_mass > TAIL_TOLERANCE
+
+
+def test_oracle_two_mode_converged():
+    p = oracle_protocol_prob(PINNED_PARAMS, PINNED_CHANNEL, "usd4", dim=40)
+    assert abs(p - success_prob("usd4", 3.0, 0.0, 0.15, math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [0, 5])
+def test_oracle_dim_below_hard_floor(dim):
+    with pytest.raises(ValueError, match="below hard floor"):
+        oracle_protocol_prob(PINNED_PARAMS, PINNED_CHANNEL, "usd4", dim=dim)
 
 
 def test_oracle_zero_phase_probability_vanishes():

@@ -193,6 +193,14 @@ def test_make_state_and_registry_validation():
         make_state(("m",), [(complex("nan"), {"m": 0j})])
     with pytest.raises(ValueError, match="non-finite"):
         make_state(("m",), [(1.0, {"m": complex("inf")})])
+    with pytest.raises(ValueError, match="non-finite branch coefficient"):
+        make_state(("m",), [(complex(1.0, math.inf), {"m": 0j})])
+    with pytest.raises(ValueError, match="non-finite coherent amplitude"):
+        make_state(("m",), [(1.0, {"m": complex(0.0, math.nan)})])
+    with pytest.raises(ValueError, match="non-finite coherent amplitude"):
+        make_state(("m", "k"), [(1.0, {"m": 0j, "k": complex("nan")})])
+    with pytest.raises(ValueError, match=r"disagree with registry on \['x'\]"):
+        make_state(("m",), [(1.0, {"m": 0j, "x": 0j})])
 
 
 def test_add_mode():
