@@ -110,40 +110,25 @@ _FIELD_AT = {(f.section, f.key): f for f in FIELDS}
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
-class _model:
-    """Context manager: turn a model-side ValueError into a ConfigError that names its source."""
-
-    def __init__(self, source: str):
-        self.source = source
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if kind is not None and issubclass(kind, ValueError):
-            raise ConfigError(f"{self.source}: {exc}") from None
-
-
-class _ModelInputs:
-    """Model inputs built from a RunConfig."""
-
-    def params(self) -> ProtocolParams:
-        with _model("source"):
-            return ProtocolParams(self.alpha, self.phi_rad, self.sigma1_rad, self.sigma2_rad)
-
-    def channel(self) -> ChannelParams:
-        with _model("channel"):
-            return ChannelParams.from_total(self.loss_db_per_km, self.distance_km_total)
-
-    def detector(self) -> DetectorSpec:
-        with _model("detector"):
-            return DetectorSpec(self.dark_rate_hz, self.coincidence_window_s)
-
-
 RunConfig = make_dataclass(
-    "RunConfig", [(f.name, f.kind) for f in FIELDS], bases=(_ModelInputs,), frozen=True,
+    "RunConfig", [(f.name, f.kind) for f in FIELDS], frozen=True,
     namespace={"__module__": __name__,
                "__doc__": "Resolved configuration: one attribute per FIELDS row, named by Field.name."})
+
+
+def _model(source: str, make, *args):
+    """make(*args), a model-side ValueError turned into a ConfigError that names its source."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def _link(cfg: RunConfig) -> tuple[ProtocolParams, ChannelParams]:
+    """The configured source and channel; ProtocolParams's phi warning names _model, in this file."""
+    return (_model("source", ProtocolParams,
+                   cfg.alpha, cfg.phi_rad, cfg.sigma1_rad, cfg.sigma2_rad),
+            _model("channel", ChannelParams.from_total, cfg.loss_db_per_km, cfg.distance_km_total))
 
 
 def _coerce(field: Field, raw: str):
@@ -265,7 +250,7 @@ def _emit(rows: list[dict], output: str, stream) -> None:
 
 
 def cmd_rates(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
-    params, channel = cfg.params(), cfg.channel()
+    params, channel = _link(cfg)
     report = protocol_report(params, channel, cfg.protocol)
     rates = experiment.counting_rates(report.p_max, report.p_min, cfg.source_rate_hz)
     alpha_prime, n_lost = experiment.attenuate(params.alpha, channel)
@@ -306,7 +291,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
         raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.steps}")
     if cfg.steps > MAX_SWEEP_STEPS:
         raise ConfigError(f"sweep.steps: must be <= {MAX_SWEEP_STEPS}, got {cfg.steps}")
-    base_params, base_channel, step = cfg.params(), cfg.channel(), _SWEEP_STEP[axis]
+    (base_params, base_channel), step = _link(cfg), _SWEEP_STEP[axis]
     rows = []
     for i in range(cfg.steps):
         if cfg.steps == 1:
@@ -316,8 +301,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
         if not math.isfinite(value):
             raise ConfigError(f"sweep.start/sweep.stop: the sweep from {cfg.start} to "
                               f"{cfg.stop} overflows at step {i} of {cfg.steps}")
-        with _model(f"sweep value {value}"):
-            params, channel = step(base_params, base_channel, value)
+        params, channel = _model(f"sweep value {value}", step, base_params, base_channel, value)
         report = protocol_report(params, channel, cfg.protocol)
         rates = experiment.counting_rates(report.p_max, report.p_min, cfg.source_rate_hz)
         rows.append({
@@ -337,7 +321,7 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     from . import fock  # only this command needs the Fock oracle
     from .protocols import pipeline_prob
 
-    params, channel = cfg.params(), cfg.channel()
+    params, channel = _link(cfg)
     rows = []
     worst = 0.0
     for which in PROTOCOLS:
@@ -365,7 +349,7 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
-    params = cfg.params()
+    params = _link(cfg)[0]  # plan picks its own distances
     result = experiment.max_range(params, cfg.loss_db_per_km, cfg.rate_floor,
                                   cfg.source_rate_hz, cfg.protocol)
     record = {
@@ -412,7 +396,8 @@ def _write_bins(rows, path: str):
 
 
 def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
-    params, channel, det = cfg.params(), cfg.channel(), cfg.detector()
+    params, channel = _link(cfg)
+    det = _model("detector", DetectorSpec, cfg.dark_rate_hz, cfg.coincidence_window_s)
     if cfg.duration_s > experiment.MAX_MC_BLOCKS:  # one block per second
         raise ConfigError(f"run.duration_s: must be <= {experiment.MAX_MC_BLOCKS}, "
                           f"got {cfg.duration_s}")

@@ -194,10 +194,10 @@ def _detector_amp(nu: complex, taus: tuple[complex, ...], d: int) -> complex:
     left, right = taus
     grid = split_vacuum_port(coherent_fock(nu, d))
     rows = _displacement_matrix(complex(left), d)[[1, d - 1]] @ grid
-    _check_tail(rows[1], f"displace_two_mode(mode=0, tau={left})")
+    _check_tail(rows[1], f"usd4 detector, left port (tau={left})")
     cols = np.r_[1, d - TAIL_WINDOW:d]
     out = rows @ _displacement_matrix(complex(right), d)[cols].T
-    _check_tail(out[1], f"displace_two_mode(mode=1, tau={right})")
+    _check_tail(out[1], f"usd4 detector, right port (tau={right})")
     return complex(out[0, 0])
 
 
@@ -222,8 +222,7 @@ def oracle_protocol_prob(params: ProtocolParams, channel: ChannelParams, which: 
     protocol = get_protocol(which)
     state = build_analysis_state(params, channel)
     taus = protocol.displacements(alpha_prime, params.phi)
-    d = dim if dim is not None else recommended_dim(
-        (2.0 * alpha_prime) ** 2 if protocol.ports == 1 else 2.0 * alpha_prime**2)
+    d = dim if dim is not None else recommended_dim((2.0 * alpha_prime) ** 2 / protocol.ports)
     env = make_state((ENV_A, ENV_B), [
         (b.coeff * _detector_amp(b.amps[BEAM_1], taus, d) * _detector_amp(b.amps[BEAM_2], taus, d),
          {ENV_A: b.amps[ENV_A], ENV_B: b.amps[ENV_B]})

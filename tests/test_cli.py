@@ -6,6 +6,7 @@ calls cli.entry, the console-script target), while the `catbell` console script
 exists only after the package is installed, so its test is skipped without it.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -115,6 +116,26 @@ def test_config_errors(tmp_path, capsys):
     assert code == 1
     assert "cannot read config" in capsys.readouterr().err
 
+    headless = tmp_path / "c.ini"
+    headless.write_text("alpha = 3\n[source]\n")  # a key line before any section header
+    code, _ = run_cli(["rates", "--config", str(headless)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config {str(headless)!r}: ")
+    assert "Traceback" not in err
+
+    # Flags are refused by argparse's choices; --set and INI values reach the FIELDS check.
+    code, _ = run_cli(["rates", "--set", "run.protocol=usd3"])
+    assert code == 1
+    want = "error: run.protocol: expected one of ('usd2', 'usd4'), got 'usd3'\n"
+    assert capsys.readouterr().err == want
+    bad_choice = tmp_path / "d.ini"
+    bad_choice.write_text("[run]\noutput = xml\n")
+    code, _ = run_cli(["rates", "--config", str(bad_choice)])
+    assert code == 1
+    want = "error: run.output: expected one of ('table', 'csv', 'json'), got 'xml'\n"
+    assert capsys.readouterr().err == want
+
     code, _ = run_cli(["rates", "--set", "alpha=3"])
     assert code == 1
     assert "SECTION.KEY=VALUE" in capsys.readouterr().err
@@ -163,17 +184,19 @@ def test_model_layer_errors_exit_1(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_model_context_translates_only_value_errors():
+def test_model_translates_only_value_errors():
+    def refuse(error):
+        raise error
+
     with pytest.raises(cli.ConfigError) as info:
-        with cli._model("source"):
-            raise ValueError("alpha must be positive")
+        cli._model("source", refuse, ValueError("alpha must be positive"))
     assert str(info.value) == "source: alpha must be positive"
     assert info.value.__suppress_context__ and info.value.__cause__ is None
     error = TypeError("not a number")
     with pytest.raises(TypeError) as info:
-        with cli._model("source"):
-            raise error
+        cli._model("source", refuse, error)
     assert info.value is error
+    assert cli._model("source", divmod, 7, 2) == (3, 1)
 
 
 def test_usd4_at_zero_km_serves():
@@ -273,7 +296,8 @@ def test_negative_seed_names_field(capsys):
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["0", "-0", "1e-320", "1e308", "usd4", "json", "csv", "", "x"]),
+    st.sampled_from(["0", "-0", "1e-320", "5e-324", "1.34e154", "1e308",
+                     "usd4", "json", "csv", "", "x"]),
 )
 _FUZZ_FIELDS = [f for f in cli.FIELDS
                 if f.section != "sweep" and f.name not in ("duration_s", "seed")]
@@ -292,6 +316,9 @@ _DURATIONS = st.one_of(
 def _fuzz_argv(draw):
     command = draw(st.sampled_from(["rates", "plan", "oracle", "sweep", "montecarlo"]))
     argv = [command]
+    output = draw(st.sampled_from((None,) + cli.OUTPUTS))  # a later drawn --output wins
+    if output is not None:
+        argv.append(f"--output={output}")
     for field in draw(st.lists(st.sampled_from(_FUZZ_FIELDS), max_size=4)):
         argv.append(f"--{field.name.replace('_', '-')}={draw(_NUMBERS)}")
     if command == "sweep":
@@ -307,7 +334,19 @@ def _fuzz_argv(draw):
 @given(_fuzz_argv())
 def test_cli_fuzz_exit_codes(argv):
     # Any exception escaping main fails the test; the exit code must be documented.
-    assert run_cli(argv)[0] in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("error:") for line in lines) == 1, lines
+        assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] in ("rates", "sweep") and out.startswith(("{", "[")):
+        records = json.loads(out)
+        for record in records if isinstance(records, list) else [records]:
+            for key in ("p_success", "p_max", "p_min", "visibility"):
+                assert 0.0 <= record[key] <= 1.0, (key, record[key])
 
 
 def test_sweep_fringe_shape():
@@ -796,7 +835,7 @@ def test_oracle_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, catbell.fock as fock; from catbell import cli; cfg = cli.load_config(None, []); "
-         "print(fock.oracle_protocol_prob(cfg.params(), cfg.channel(), 'usd2')); "
+         "print(fock.oracle_protocol_prob(*cli._link(cfg), 'usd2')); "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True,
     )

@@ -222,9 +222,10 @@ PINNED_PARAMS = ProtocolParams(3.0, 0.15, math.pi, 0.0)
 PINNED_CHANNEL = ChannelParams.from_total(0.2, 0.0)
 
 
-@pytest.mark.parametrize("dim, mode", [(14, 0), (16, 0), (18, 0), (20, 0), (24, 1), (30, 1)])
-def test_oracle_two_mode_tail_checks(dim, mode):
-    with pytest.raises(TruncationError, match=rf"\(mode={mode}, tau=") as err:
+@pytest.mark.parametrize("dim, port", [(14, "left"), (16, "left"), (18, "left"), (20, "left"),
+                                       (24, "right"), (30, "right")])
+def test_oracle_two_mode_tail_checks(dim, port):
+    with pytest.raises(TruncationError, match=rf"^usd4 detector, {port} port \(tau=") as err:
         oracle_protocol_prob(PINNED_PARAMS, PINNED_CHANNEL, "usd4", dim=dim)
     assert err.value.tail_mass > TAIL_TOLERANCE
 

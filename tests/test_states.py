@@ -1,4 +1,4 @@
-"""Branch algebra: overlaps, projections, norms."""
+"""Branch algebra: overlaps, projections, norms; beam splitter and displacement."""
 
 import cmath
 import math
@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catbell.fock import beamsplitter_fock, coherent_fock
 from catbell.states import (
     SuperposedState,
     add_mode,
+    apply_beam_splitter,
+    apply_displacement,
     inner_product,
     make_state,
     overlap,
@@ -210,3 +213,106 @@ def test_add_mode():
     assert grown.branches[0].amps["k"] == 0j
     with pytest.raises(ValueError, match="already in registry"):
         add_mode(grown, "m")
+
+
+def one_branch(m1, m2):
+    return make_state(("in1", "in2"), [(1.0, {"in1": m1, "in2": m2})])
+
+
+def test_beam_splitter_half_on_vacuum_port():
+    nu = 1.3 - 0.4j
+    out = apply_beam_splitter(one_branch(0j, nu), 0.5, "in1", "in2", "o3", "o4")
+    b = out.branches[0]
+    assert abs(b.amps["o3"] - nu / math.sqrt(2)) < 1e-15
+    assert abs(b.amps["o4"] - nu / math.sqrt(2)) < 1e-15
+    assert b.coeff == 1.0 + 0j
+    assert out.modes == ("o3", "o4")
+
+
+def test_beam_splitter_zero_reflectivity_is_identity():
+    out = apply_beam_splitter(one_branch(1 + 2j, -0.5j), 0.0, "in1", "in2", "o3", "o4")
+    assert out.branches[0].amps["o3"] == 1 + 2j
+    assert out.branches[0].amps["o4"] == -0.5j
+
+
+@given(small_complex, small_complex, st.floats(0.0, 1.0))
+@settings(deadline=None)
+def test_beam_splitter_conserves_photon_number_and_norm(mu, nu, lam):
+    state = one_branch(mu, nu)
+    out = apply_beam_splitter(state, lam, "in1", "in2", "o3", "o4")
+    b = out.branches[0]
+    before = abs(mu) ** 2 + abs(nu) ** 2
+    after = abs(b.amps["o3"]) ** 2 + abs(b.amps["o4"]) ** 2
+    assert math.isclose(after, before, rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(out.squared_norm(), state.squared_norm(), rel_tol=1e-12)
+
+
+def test_beam_splitter_against_fock_unitary():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        mu = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        nu = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        lam = rng.uniform(0.1, 0.9)
+        out = apply_beam_splitter(one_branch(mu, nu), lam, "in1", "in2", "o3", "o4")
+        b = out.branches[0]
+        dim = 40
+        grid = beamsplitter_fock(np.outer(coherent_fock(mu, dim), coherent_fock(nu, dim)), lam)
+        want = np.outer(coherent_fock(b.amps["o3"], dim), coherent_fock(b.amps["o4"], dim))
+        fidelity = abs(np.vdot(want, grid)) ** 2
+        assert fidelity > 1.0 - 1e-8
+
+
+def test_beam_splitter_validation():
+    state = one_branch(0j, 0j)
+    with pytest.raises(ValueError, match="reflectivity"):
+        apply_beam_splitter(state, 1.2, "a", "b", "c", "d")
+    with pytest.raises(ValueError, match="distinct"):
+        apply_beam_splitter(state, 0.5, "a", "a", "c", "d")
+    with pytest.raises(ValueError, match="not in registry"):
+        apply_beam_splitter(state, 0.5, "zz", "in2", "o3", "o4")
+    grown = make_state(("in1", "in2", "aux"),
+                       [(1.0, {"in1": 0j, "in2": 0j, "aux": 0j})])
+    with pytest.raises(ValueError, match="already in registry"):
+        apply_beam_splitter(grown, 0.5, "in1", "in2", "o3", "aux")
+
+
+def test_displacement_on_vacuum():
+    state = make_state(("m",), [(0.7 + 0.1j, {"m": 0j})])
+    out = apply_displacement(state, "m", 0.4 - 0.9j)
+    assert out.branches[0].amps["m"] == 0.4 - 0.9j
+    assert out.branches[0].coeff == 0.7 + 0.1j  # nu = 0 kills the phase
+
+
+def test_displacement_nulls_zero_phase_family():
+    a = 2.7
+    state = make_state(("m",), [(1.0, {"m": 1j * a})])
+    out = apply_displacement(state, "m", -1j * a)
+    assert abs(out.branches[0].amps["m"]) < 1e-15
+
+
+def test_displacement_arithmetic_on_rotated_family():
+    a, phi = 1.9, 0.23
+    state = make_state(("m",), [(1.0, {"m": 1j * a * cmath.exp(2j * phi)})])
+    out = apply_displacement(state, "m", -1j * a)
+    want = complex(-a * math.sin(2 * phi), a * (math.cos(2 * phi) - 1.0))
+    assert abs(out.branches[0].amps["m"] - want) < 1e-14
+
+
+@given(small_complex, small_complex)
+@settings(deadline=None)
+def test_displacement_inverse_pair_restores_state(nu, tau):
+    state = make_state(("m",), [(0.8 - 0.3j, {"m": nu})])
+    back = apply_displacement(apply_displacement(state, "m", tau), "m", -tau)
+    assert abs(back.branches[0].amps["m"] - nu) < 1e-12
+    assert abs(back.branches[0].coeff - (0.8 - 0.3j)) < 1e-12
+
+
+def test_displacement_phase_convention():
+    nu, tau = 1.1 - 0.6j, -0.4 + 0.9j
+    state = make_state(("m",), [(1.0, {"m": nu})])
+    with_phase = apply_displacement(state, "m", tau)
+    want = cmath.exp(1j * (tau * nu.conjugate()).imag)
+    assert abs(with_phase.branches[0].coeff - want) < 1e-14
+    bare = apply_displacement(state, "m", tau, include_phase=False)
+    assert bare.branches[0].coeff == 1.0 + 0j
+    assert bare.branches[0].amps["m"] == with_phase.branches[0].amps["m"]
