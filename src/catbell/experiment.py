@@ -293,6 +293,9 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10's round multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
@@ -549,6 +552,120 @@ def _block_counts(rng: np.random.Generator, key: np.ndarray, pulses: int, p_max:
     return c_max, c_min
 
 
+def _philox_words(keys: np.ndarray, counter: int) -> list[np.ndarray]:
+    """The four uint64 words Philox4x64-10 gives at `counter` under each (2,) key row.
+
+    A restarted generator reads counter 1's words first, then counter 2's.
+    The 128-bit products are formed from 32-bit halves, so uint64 arithmetic
+    never loses a carry.  A test pins this against np.random.Philox.random_raw.
+    """
+    import numpy as np
+
+    def mulhilo(a, m):  # (high, low) words of the 128-bit product a * m
+        a0, a1, m0, m1 = a & _MASK32, a >> 32, m & _MASK32, m >> 32
+        mid = a1 * m0 + (a0 * m0 >> 32)
+        low_mid = a0 * m1 + (mid & _MASK32)
+        return a1 * m1 + (mid >> 32) + (low_mid >> 32), a * m
+
+    k0, k1 = keys[:, 0], keys[:, 1]
+    zero = np.zeros(len(keys), dtype=np.uint64)
+    c0, c1, c2, c3 = zero + counter, zero, zero, zero
+    for round_ in range(10):
+        if round_:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return [c0, c1, c2, c3]
+
+
+def _binomial_try(n: int, p: float):
+    """NumPy 2.4.6's rng.binomial(n, p) (distributions.c) as a first try on arrays.
+
+    Returns (doubles read, draw); draw(doubles) gives (counts, ok), ok False
+    where NumPy reads on.  With r = min(p, 1 - p), n r <= 30 is inversion: one
+    double and the px recurrence, left by a restart past `bound`.  Otherwise
+    BTPE's triangle step reads two doubles and is left when u > p1.  p > 0.5
+    draws n - X.  Constants come from math (libm, as NumPy's), never np.exp.
+    """
+    import numpy as np
+
+    if n == 0 or p == 0.0:
+        return 0, lambda us: (0, True)
+    flip = p > 0.5
+    r = 1.0 - p if flip else p
+    q = 1.0 - r
+    if r * n <= 30.0:
+        qn, mean = math.exp(n * math.log1p(-r)), n * r
+        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+
+        def draw(us):
+            u, px = us[0], qn
+            x = np.zeros(len(u), dtype=np.int64)
+            going = u > px
+            for k in range(1, bound + 1):
+                if not going.any():
+                    break
+                x += going
+                u = u - px
+                px = (n - k + 1) * r * px / (k * q)
+                going &= u > px
+            return (n - x if flip else x), ~going
+        return 1, draw
+    fm = n * r + r
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr, c = xm - p1, xm + p1, 0.134 + 20.5 / (15.3 + m)
+    al, ar = (fm - xl) / (fm - xl * r), (xr - fm) / (xr * q)
+    p4 = p1 * (1.0 + 2.0 * c) + c / (al * (1.0 + al / 2.0)) + c / (ar * (1.0 + ar / 2.0))
+
+    def draw(us):
+        u = us[0] * p4
+        y = np.floor(xm - p1 * us[1] + u).astype(np.int64)
+        return (n - y if flip else y), u <= p1
+    return 2, draw
+
+
+def _chunk_counts(rng: np.random.Generator, keys: np.ndarray, pulses: int, p_max: float,
+                  p_min: float, dark_mean: float) -> tuple[list[int], list[int]]:
+    """Counts (c_max, c_min) of the blocks keyed by keys, as _block_counts draws each, bit for bit.
+
+    Each block's binomial, Poisson, binomial, Poisson draws are first tried
+    on arrays of the Philox output at counter 1 (and 2, past four doubles).
+    The Poisson try is NumPy's multiplication method kept at X = 0: one
+    double U <= exp(-dark_mean), or none at a mean of 0; a mean of 10 or more
+    has no try.  _block_counts redraws each block that leaves a try.
+    """
+    import numpy as np
+
+    if dark_mean >= 10.0:  # no Poisson try: every block is redrawn
+        tries = [(0, lambda us: (0, False))] * 2
+    else:
+        tries = [_binomial_try(pulses, p_max), _binomial_try(pulses, p_min)]
+    dark = 0.0 < dark_mean < 10.0  # each Poisson try reads one double
+    reads = tries[0][0] + tries[1][0] + 2 * dark
+    words = [word for counter in range(1, 1 + (reads + 3) // 4)
+             for word in _philox_words(keys, counter)]
+    # NumPy's next_double: the top 53 bits of a word, times 2^-53.
+    doubles = [(word >> 11).astype(np.float64) * 2.0**-53 for word in words[:reads]]
+    del words
+    ok = np.ones(len(keys), dtype=bool)
+    counts = []
+    for n_doubles, draw in tries:
+        value, fine = draw(doubles[:n_doubles])
+        ok &= fine
+        if dark:
+            ok &= doubles[n_doubles] <= math.exp(-dark_mean)
+        doubles = doubles[n_doubles + dark:]
+        counts.append(np.zeros(len(keys), dtype=np.int64) + value)
+    del doubles
+    c_max, c_min = (count.tolist() for count in counts)
+    for i in np.flatnonzero(~ok).tolist():
+        c_max[i], c_min[i] = _block_counts(rng, keys[i], pulses, p_max, p_min, dark_mean)
+    return c_max, c_min
+
+
 def visibility_estimate(counts_max: int, counts_min: int) -> tuple[float, float]:
     """Fringe visibility and its Poisson standard error from extreme-setting counts."""
     total = counts_max + counts_min
@@ -568,17 +685,20 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     blocks, a coincidence window wider than the pulse period, or a block of
     more than 2^63 - 1 pulses or _MAX_DARK_MEAN mean accidentals raises here,
     before any block is drawn.  The
-    returned iterator then draws each row as it is read, so memory does not
-    grow with duration_s.
+    returned iterator then draws one chunk of _KEY_CHUNK blocks at a time as
+    its rows are read, so memory does not grow with duration_s.
 
     Counts are drawn blockwise as binomials over the pulses in each 1 s block
     (never per pulse), plus Poisson accidentals from dark counts; a fractional
     remainder of duration_s forms a last, shorter block.  Each block's stream
     is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
-    of blocks, drawn in any order, reproduces the matching rows.  The keys are
-    computed in vectorised passes of _KEY_CHUNK blocks and one generator is
-    restarted on each, which gives counts bit-identical to building a
-    SeedSequence and Philox per block.
+    of blocks, drawn in any order, reproduces the matching rows.  A chunk's
+    keys and Philox output are computed on arrays, and so are NumPy's draws
+    where they finish on a first try: binomial inversion (n p <= 30) without
+    a restart, BTPE's triangle step, and a Poisson count of 0 below a mean of
+    10.  _block_counts redraws every other block, and the fractional one, on
+    a generator restarted on its key, so counts are bit-identical to building
+    a SeedSequence and Philox per block.
     """
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
@@ -605,7 +725,11 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
 
 def _draw_blocks(p_max: float, p_min: float, dark_rate: float, duration_s: float, seed: int,
                  source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
-    """The block loop of monte_carlo_blocks, yielding each row as it is drawn."""
+    """The block loop of monte_carlo_blocks, drawing one chunk of _KEY_CHUNK blocks at a time.
+
+    _chunk_counts draws the whole 1 s blocks; the fractional last block is
+    drawn alone by _block_counts.
+    """
     import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
 
     full = int(duration_s)  # whole 1 s blocks
@@ -613,12 +737,18 @@ def _draw_blocks(p_max: float, p_min: float, dark_rate: float, duration_s: float
     rng = np.random.Generator(np.random.Philox(key=0))
     for start in range(0, n_blocks, _KEY_CHUNK):
         keys = _block_keys(seed, np.arange(start, min(start + _KEY_CHUNK, n_blocks)))
-        for index, key in enumerate(keys, start):
-            t_start = float(index)
-            dur = 1.0 if index < full else duration_s - t_start
-            c_max, c_min = _block_counts(rng, key, round(source_rate_hz * dur),
-                                         p_max, p_min, dark_rate * dur)
-            yield index, t_start, c_max, c_min
+        # Only whole blocks go to _chunk_counts: the caps were checked on them, and
+        # a session under 1 s may pass them at its own length but not at 1 s.
+        c_max, c_min = (_chunk_counts(rng, keys[:full - start], round(source_rate_hz),
+                                      p_max, p_min, dark_rate) if start < full else ([], []))
+        if len(c_max) < len(keys):  # the fractional last block
+            dur = duration_s - full
+            block = _block_counts(rng, keys[-1], round(source_rate_hz * dur),
+                                  p_max, p_min, dark_rate * dur)
+            c_max.append(block[0])
+            c_min.append(block[1])
+        for index, counts in enumerate(zip(c_max, c_min), start):
+            yield index, float(index), *counts
 
 
 def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,

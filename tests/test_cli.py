@@ -665,13 +665,19 @@ def test_montecarlo_bins_out(tmp_path):
 
 def test_montecarlo_bins_out_draws_each_block_once(tmp_path, monkeypatch):
     drawn = []
-    draw = experiment._block_counts
-    monkeypatch.setattr(experiment, "_block_counts",
-                        lambda rng, key, *rest: drawn.append(key.tolist()) or draw(rng, key, *rest))
+    keys = experiment._block_keys
+
+    def record(seed, indices):
+        block_keys = keys(seed, indices)
+        drawn.extend(block_keys.tolist())
+        return block_keys
+
+    monkeypatch.setattr(experiment, "_block_keys", record)
     code, _ = run_cli(["montecarlo", "--duration-s", "5.5", "--output", "json",
                        "--bins-out", str(tmp_path / "bins.csv")])
     assert code == 0
-    # Six draws in block order, each on its own (seed 12345, block index) key.
+    # Six keys in block order, the 0.5 s block's included, each on its own
+    # (seed 12345, block index) SeedSequence and each keyed once.
     assert drawn == [np.random.SeedSequence(entropy=(12345, index)).generate_state(2, np.uint64)
                      .tolist() for index in range(6)]
 
@@ -749,20 +755,22 @@ def test_montecarlo_dark_mean_past_poisson_names_field(tmp_path, capsys):
 
 def test_montecarlo_failed_session_removes_partial_bins(tmp_path, monkeypatch, capsys):
     target = tmp_path / "bins.csv"
-    drawn = []  # whether the file existed at each block's draw
-    draw = experiment._block_counts
+    drawn = []  # whether the file existed at each chunk's draw
+    keys = experiment._block_keys
 
-    def fail_at_block_3(*args):
+    def fail_at_chunk_2(seed, indices):
         drawn.append(target.exists())
-        if len(drawn) == 4:
-            raise ValueError("block 3 failed")
-        return draw(*args)
+        if len(drawn) == 2:
+            raise ValueError("chunk 2 failed")
+        return keys(seed, indices)
 
-    monkeypatch.setattr(experiment, "_block_counts", fail_at_block_3)
+    # Chunks of 4 blocks: the failure comes after rows 0-3 went to the file.
+    monkeypatch.setattr(experiment, "_KEY_CHUNK", 4)
+    monkeypatch.setattr(experiment, "_block_keys", fail_at_chunk_2)
     code, out = run_cli(["montecarlo", "--duration-s", "10", "--bins-out", str(target)])
     assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: block 3 failed")
-    assert drawn == [True] * 4
+    assert capsys.readouterr().err.startswith("error: chunk 2 failed")
+    assert drawn == [True] * 2
     assert not target.exists()
 
 

@@ -319,6 +319,27 @@ def test_monte_carlo_frozen_run():
     assert result.seed == 12345
 
 
+# (protocol params, km total, detector, duration_s, seed, protocol, source Hz, counts),
+# recorded before the chunked draw: one session per binomial and Poisson regime.
+_REGIME_SESSIONS = [
+    (REF, 150.0, DET, 1000.0, 3, "usd2", 1e9, (28819669, 4151849)),  # BTPE, both settings
+    (REF, 300.0, DET, 1000.0, 4, "usd2", 1e9, (167748, 26189)),  # BTPE max, inversion min
+    (REF, 150.0, DET, 1000.0, 5, "usd4", 1e9, (983, 144)),
+    (REF, 400.0, DET, 2000.5, 6, "usd2", 1e9, (10509, 1733)),  # a fractional last block
+    (REF, 400.0, DetectorSpec(4e4, 1e-9), 1000.0, 7, "usd2", 1e9, (8657, 4036)),  # dark mean 3.2
+    (REF, 150.0, DET, 1000.0, 8, "usd2", 1e6, (28799, 4197)),  # n p = 28.8, just inversion
+    (ProtocolParams(100.0, 0.01), 400.0, DET, 1000.0, 9, "usd2", 1e9, (504553, 485673)),  # BTPE
+    (ProtocolParams(100.0, 0.01), 500.0, DET, 1000.0, 10, "usd2", 1e9, (16044, 15373)),  # inversion
+]
+
+
+@pytest.mark.parametrize("params, km, det, duration_s, seed, which, rate, counts", _REGIME_SESSIONS)
+def test_monte_carlo_regime_counts_frozen(params, km, det, duration_s, seed, which, rate, counts):
+    result = monte_carlo_run(params, ChannelParams.from_total(0.15, km), det, duration_s, seed,
+                             which, rate)
+    assert (result.counts_max, result.counts_min) == counts
+
+
 def test_monte_carlo_partition_independent():
     rows = list(monte_carlo_blocks(REF, LINK_400, DET, 300.5, 9, "usd2", 1e9))
     assert len(rows) == 301 and rows[-1][0] == 300
@@ -418,14 +439,104 @@ def test_monte_carlo_dark_mean_cap(monkeypatch):
         rng.poisson(math.nextafter(experiment._MAX_DARK_MEAN, math.inf))
 
 
+def _restarted(key):
+    """A Philox bit generator in the state _block_counts restarts its generator to."""
+    bit_generator = np.random.Philox(key=0)
+    bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def _block_draws(key, pulses, p_max, p_min, dark_mean):
+    rng = np.random.Generator(np.random.Philox(key=0))
+    return experiment._block_counts(rng, key, pulses, p_max, p_min, dark_mean)
+
+
+def test_monte_carlo_cap_edges_draw():
+    # A full block at the largest pulse count, or the largest dark mean, draws
+    # what _block_counts draws alone; the next float up is refused.
+    report = experiment.protocol_report(REF, LINK_400, "usd2")
+    key = _block_keys(1, np.arange(1))[0]
+    narrow = DetectorSpec(0.0008, 1e-20)
+    rate = math.nextafter(2.0**63, 0.0)  # 2^63 - 1024 pulses; n p = 49, BTPE
+    assert list(monte_carlo_blocks(REF, LINK_400, narrow, 1.0, 1, "usd2", rate)) == [
+        (0, 0.0, *_block_draws(key, round(rate), report.p_max, report.p_min,
+                               accidental_rate(narrow, "usd2")))]
+    with pytest.raises(ValueError, match="source_rate_hz must give at most"):
+        monte_carlo_blocks(REF, LINK_400, narrow, 1.0, 1, "usd2", math.nextafter(rate, math.inf))
+    mean = experiment._MAX_DARK_MEAN
+    assert list(experiment._draw_blocks(report.p_max, report.p_min, mean, 1.0, 1, 1e9)) == [
+        (0, 0.0, *_block_draws(key, 10**9, report.p_max, report.p_min, mean))]
+    # With a 0.5 s window, a dark rate d gives d^2 usd2 accidentals per second.
+    loudest = 3037000494.9760494
+    loud = DetectorSpec(loudest, 0.5)
+    assert accidental_rate(loud, "usd2") <= mean
+    assert list(monte_carlo_blocks(REF, LINK_400, loud, 1.0, 1, "usd2", 1.0)) == [
+        (0, 0.0, *_block_draws(key, 1, report.p_max, report.p_min, accidental_rate(loud, "usd2")))]
+    with pytest.raises(ValueError, match="dark_rate_hz must give at most"):
+        monte_carlo_blocks(REF, LINK_400, DetectorSpec(math.nextafter(loudest, math.inf), 0.5),
+                           1.0, 1, "usd2", 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**130), counter=st.integers(1, 2))
+def test_philox_words_match_numpy(seed, counter):
+    keys = _block_keys(seed, np.arange(8))
+    words = np.stack(experiment._philox_words(keys, counter), axis=1)
+    for key, row in zip(keys, words):
+        raw = _restarted(key).random_raw(4 * counter)
+        assert np.array_equal(row, raw[-4:])
+
+
+_PULSES = st.one_of(
+    st.sampled_from([0, 1, 31, 10**9, 2**53 + 1, int(math.nextafter(2.0**63, 0.0))]),
+    st.integers(0, experiment._MAX_PULSES))
+_DARK_MEANS = st.one_of(st.sampled_from([0.0, 1e-15, 10.0, experiment._MAX_DARK_MEAN]),
+                        st.floats(0.0, 10.0, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def _binomials(draw):
+    """(pulses, p_max, p_min), p from the edges of NumPy's binomial branches at those pulses."""
+    pulses = draw(_PULSES)
+    edges = [0.0, 1.0, 0.5, math.nextafter(0.5, 1.0)]
+    picks = [st.floats(0.0, 1.0)]
+    if pulses:
+        at = 30.0 / pulses  # inversion below, BTPE above
+        edges += [math.nextafter(at, 0.0), at, math.nextafter(at, 1.0), 1.0 - at]
+        if at < 0.5:
+            picks.append(st.floats(at, 0.5))
+    p = st.one_of(st.sampled_from([e for e in edges if 0.0 <= e <= 1.0]), *picks)
+    return (pulses, *sorted((draw(p), draw(p)), reverse=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomials=_binomials(), dark_mean=_DARK_MEANS, seed=st.integers(0, 2**130))
+@example(binomials=(2**63 - 1, 1e-18, 1e-18), dark_mean=0.0, seed=1)  # log1p(-p), not log(1 - p)
+@example(binomials=(2**63 - 1024, 1.0, 0.5), dark_mean=experiment._MAX_DARK_MEAN, seed=2)
+def test_chunk_counts_match_block_counts(binomials, dark_mean, seed):
+    # The array first tries and their redraws give every block's scalar draws,
+    # bit for bit, also where a block's count passes int64.
+    pulses, p_max, p_min = binomials
+    keys = _block_keys(seed, np.arange(64))
+    rng = np.random.Generator(np.random.Philox(key=0))
+    counts = experiment._chunk_counts(rng, keys, pulses, p_max, p_min, dark_mean)
+    assert list(zip(*counts)) == [_block_draws(key, pulses, p_max, p_min, dark_mean)
+                                  for key in keys]
+
+
 def test_monte_carlo_blocks_draws_as_read(monkeypatch):
-    drawn = []
-    draw = experiment._block_counts
-    monkeypatch.setattr(experiment, "_block_counts",
-                        lambda *args: drawn.append(None) or draw(*args))
-    head = list(itertools.islice(monte_carlo_blocks(REF, LINK_400, DET, 100.0, 9, "usd2", 1e9), 3))
+    # Reading the head of a session longer than one chunk draws that chunk only.
+    keyed = []
+    keys = experiment._block_keys
+    monkeypatch.setattr(experiment, "_block_keys",
+                        lambda seed, indices: keyed.append(indices.tolist()) or keys(seed, indices))
+    session = monte_carlo_blocks(REF, LINK_400, DET, 2.0 * experiment._KEY_CHUNK + 0.5, 9,
+                                 "usd2", 1e9)
+    head = list(itertools.islice(session, 3))
     assert [row[0] for row in head] == [0, 1, 2]
-    assert len(drawn) == 3
+    assert keyed == [list(range(experiment._KEY_CHUNK))]
 
 
 def test_monte_carlo_blocks_sum_to_run():
