@@ -20,8 +20,6 @@ Exit codes: 0 success, 1 configuration, usage or model-domain error,
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import math
 import operator
 import os
@@ -161,6 +159,7 @@ def load_config(path: str | None, overrides: list[tuple[str, str, str]]) -> RunC
     """Merge defaults, an optional INI file, and override assignments into a RunConfig."""
     raw = []
     if path is not None:
+        import configparser  # only a --config file needs it
         parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path) as handle:
@@ -234,6 +233,7 @@ def _json_text(rows: list[dict]) -> str:
 def _emit(rows: list[dict], output: str, stream) -> None:
     """Write records: key/value table, RFC 4180 CSV, or JSON array/object."""
     if output == CSV:
+        import csv  # only CSV output needs it
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(rows[0].keys())
         for row in rows:
@@ -375,20 +375,20 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
     return [record]
 
 
-def _write_bins(rows, path: str):
-    """Pass rows through, writing each as a CSV line; a failed session leaves no partial file."""
+def _write_bins(chunks, path: str):
+    """Pass chunks through, one write of CSV lines per chunk; a failed session leaves no file."""
     try:
         bins = open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write --bins-out {path!r}: {exc}") from None
     try:
         with bins:
-            writer = csv.writer(bins, lineterminator="\n")
-            writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
-            for row in rows:
-                index, t_start, c_max, c_min = row
-                writer.writerow([index, _fmt(t_start), c_max, c_min])
-                yield row
+            bins.write("block_index,t_start_s,counts_max,counts_min\n")
+            for start, c_max, c_min in chunks:
+                # t_start_s = i s, and _fmt writes it as str(i): block indices lie below 2^32.
+                rows = zip(range(start, start + len(c_max)), c_max, c_min)
+                bins.write("".join([f"{i},{i},{a},{b}\n" for i, a, b in rows]))
+                yield start, c_max, c_min
     except BaseException:
         if os.path.isfile(path):  # a device such as /dev/stdout stays
             os.remove(path)
@@ -402,11 +402,11 @@ def cmd_montecarlo(cfg: RunConfig, args: argparse.Namespace) -> list[dict]:
         raise ConfigError(f"run.duration_s: must be <= {experiment.MAX_MC_BLOCKS}, "
                           f"got {cfg.duration_s}")
     # A refused session raises here, before --bins-out is opened.
-    rows = experiment.monte_carlo_blocks(params, channel, det, cfg.duration_s, cfg.seed,
-                                         cfg.protocol, cfg.source_rate_hz)
+    chunks = experiment.monte_carlo_chunks(params, channel, det, cfg.duration_s, cfg.seed,
+                                           cfg.protocol, cfg.source_rate_hz)
     if args.bins_out is not None:
-        rows = _write_bins(rows, args.bins_out)
-    result = experiment.RunResult.from_blocks(rows, cfg.seed)
+        chunks = _write_bins(chunks, args.bins_out)
+    result = experiment.RunResult.from_chunks(chunks, cfg.seed)
     no_counts = result.counts_max + result.counts_min == 0
     if no_counts:
         print("warning: no counts collected; visibility estimate undefined",

@@ -323,7 +323,7 @@ class CountingRates(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Simulated coincidence counts at the two fringe extremes and the visibility estimate."""
+    """Coincidence counts at the fringe extremes, totalled a chunk at a time, and the V estimate."""
 
     counts_max: int
     counts_min: int
@@ -332,12 +332,12 @@ class RunResult:
     seed: int
 
     @classmethod
-    def from_blocks(cls, rows: Iterable[tuple[int, float, int, int]], seed: int) -> "RunResult":
-        """Totals and visibility estimate of monte_carlo_blocks rows, summed as they are read."""
+    def from_chunks(cls, chunks: Iterable[tuple[int, list, list]], seed: int) -> "RunResult":
+        """Totals and visibility estimate of monte_carlo_chunks records, each summed when read."""
         counts_max = counts_min = 0
-        for _, _, c_max, c_min in rows:
-            counts_max += c_max
-            counts_min += c_min
+        for _, c_max, c_min in chunks:
+            counts_max += sum(c_max)
+            counts_min += sum(c_min)
         return cls(counts_max, counts_min, *visibility_estimate(counts_max, counts_min), seed)
 
 
@@ -537,16 +537,18 @@ def _block_keys(seed: int, indices: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def _block_counts(rng: np.random.Generator, key: np.ndarray, pulses: int, p_max: float,
-                  p_min: float, dark_mean: float) -> tuple[int, int]:
-    """Counts for one block, drawn after restarting rng on the block's own Philox key.
+def _restart_record() -> dict:
+    """Philox's state at counter 0 with an empty buffer, where Philox(SeedSequence) starts."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0]}, "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    The restart (counter 0, empty buffer) is the state Philox(SeedSequence)
-    starts in, so the draws match a generator built for this block alone.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+def _block_counts(rng: np.random.Generator, key: np.ndarray | list, pulses: int, p_max: float,
+                  p_min: float, dark_mean: float, record: dict | None = None) -> tuple[int, int]:
+    """One block's counts, drawn on rng restarted to record (by default a new _restart_record)."""
+    record = record or _restart_record()
+    record["state"]["key"] = key
+    rng.bit_generator.state = record
     c_max = int(rng.binomial(pulses, p_max)) + int(rng.poisson(dark_mean))
     c_min = int(rng.binomial(pulses, p_min)) + int(rng.poisson(dark_mean))
     return c_max, c_min
@@ -661,8 +663,9 @@ def _chunk_counts(rng: np.random.Generator, keys: np.ndarray, pulses: int, p_max
         counts.append(np.zeros(len(keys), dtype=np.int64) + value)
     del doubles
     c_max, c_min = (count.tolist() for count in counts)
-    for i in np.flatnonzero(~ok).tolist():
-        c_max[i], c_min[i] = _block_counts(rng, keys[i], pulses, p_max, p_min, dark_mean)
+    redraw, record = np.flatnonzero(~ok), _restart_record()
+    for i, key in zip(redraw.tolist(), keys[redraw].tolist()):
+        c_max[i], c_min[i] = _block_counts(rng, key, pulses, p_max, p_min, dark_mean, record)
     return c_max, c_min
 
 
@@ -676,29 +679,18 @@ def visibility_estimate(counts_max: int, counts_min: int) -> tuple[float, float]
     return vis, stderr
 
 
-def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+def monte_carlo_chunks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
                        duration_s: float, seed: int, which: str,
-                       source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
-    """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
+                       source_rate_hz: float) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(start, counts_max, counts_min) for each chunk of _KEY_CHUNK 1 s blocks of a session.
 
-    The session is checked on call: a bad argument, more than MAX_MC_BLOCKS
-    blocks, a coincidence window wider than the pulse period, or a block of
-    more than 2^63 - 1 pulses or _MAX_DARK_MEAN mean accidentals raises here,
-    before any block is drawn.  The
-    returned iterator then draws one chunk of _KEY_CHUNK blocks at a time as
-    its rows are read, so memory does not grow with duration_s.
-
-    Counts are drawn blockwise as binomials over the pulses in each 1 s block
-    (never per pulse), plus Poisson accidentals from dark counts; a fractional
-    remainder of duration_s forms a last, shorter block.  Each block's stream
-    is Philox keyed by SeedSequence(entropy=(seed, block index)), so any subset
-    of blocks, drawn in any order, reproduces the matching rows.  A chunk's
-    keys and Philox output are computed on arrays, and so are NumPy's draws
-    where they finish on a first try: binomial inversion (n p <= 30) without
-    a restart, BTPE's triangle step, and a Poisson count of 0 below a mean of
-    10.  _block_counts redraws every other block, and the fractional one, on
-    a generator restarted on its key, so counts are bit-identical to building
-    a SeedSequence and Philox per block.
+    Block start + i counts counts_max[i] and counts_min[i]: binomials over its pulses plus
+    Poisson accidentals; a fractional remainder of duration_s is a last, shorter block.  The
+    session is checked on call (a bad argument, more than MAX_MC_BLOCKS blocks, a coincidence
+    window wider than the pulse period, a block of more than 2^63 - 1 pulses or _MAX_DARK_MEAN
+    accidentals); the iterator then draws a chunk as it is read.  Each block's stream is Philox
+    keyed by SeedSequence(entropy=(seed, block index)), so any subset of blocks, drawn in any
+    order, reproduces its counts; _chunk_counts computes them bit for bit on arrays.
     """
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
@@ -720,16 +712,12 @@ def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector:
     if dark_rate * min(duration_s, 1.0) > _MAX_DARK_MEAN:
         raise ValueError(f"dark_rate_hz must give at most {_MAX_DARK_MEAN} accidentals per block, "
                          f"got {detector.dark_rate_hz}")
-    return _draw_blocks(report.p_max, report.p_min, dark_rate, duration_s, seed, source_rate_hz)
+    return _draw_chunks(report.p_max, report.p_min, dark_rate, duration_s, seed, source_rate_hz)
 
 
-def _draw_blocks(p_max: float, p_min: float, dark_rate: float, duration_s: float, seed: int,
-                 source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
-    """The block loop of monte_carlo_blocks, drawing one chunk of _KEY_CHUNK blocks at a time.
-
-    _chunk_counts draws the whole 1 s blocks; the fractional last block is
-    drawn alone by _block_counts.
-    """
+def _draw_chunks(p_max: float, p_min: float, dark_rate: float, duration_s: float, seed: int,
+                 source_rate_hz: float) -> Iterator[tuple[int, list[int], list[int]]]:
+    """monte_carlo_chunks' loop: whole blocks by _chunk_counts, a fractional one by _block_counts."""
     import numpy as np  # only Monte Carlo and the Fock oracle load NumPy
 
     full = int(duration_s)  # whole 1 s blocks
@@ -747,19 +735,31 @@ def _draw_blocks(p_max: float, p_min: float, dark_rate: float, duration_s: float
                                   p_max, p_min, dark_rate * dur)
             c_max.append(block[0])
             c_min.append(block[1])
-        for index, counts in enumerate(zip(c_max, c_min), start):
-            yield index, float(index), *counts
+        yield start, c_max, c_min
+
+
+def monte_carlo_blocks(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
+                       duration_s: float, seed: int, which: str,
+                       source_rate_hz: float) -> Iterator[tuple[int, float, int, int]]:
+    """Per-block (index, t_start_s, counts_max, counts_min) rows of a counting session.
+
+    monte_carlo_chunks, flattened: checked on call, drawn a chunk at a time as rows are read.
+    """
+    return ((index, float(index), *counts)
+            for start, c_max, c_min in monte_carlo_chunks(params, channel, detector, duration_s,
+                                                          seed, which, source_rate_hz)
+            for index, counts in enumerate(zip(c_max, c_min), start))
 
 
 def monte_carlo_run(params: ProtocolParams, channel: ChannelParams, detector: DetectorSpec,
                     duration_s: float, seed: int, which: str, source_rate_hz: float) -> RunResult:
     """Simulate coincidence counting at both fringe extremes for duration_s seconds.
 
-    The totals of the monte_carlo_blocks rows, checked on call and summed as
-    they are drawn, so memory does not grow with duration_s.
+    The totals of monte_carlo_chunks, checked on call and summed one chunk
+    at a time as it is drawn, so memory does not grow with duration_s.
     """
-    return RunResult.from_blocks(
-        monte_carlo_blocks(params, channel, detector, duration_s, seed, which, source_rate_hz),
+    return RunResult.from_chunks(
+        monte_carlo_chunks(params, channel, detector, duration_s, seed, which, source_rate_hz),
         seed)
 
 

@@ -7,6 +7,7 @@ exists only after the package is installed, so its test is skipped without it.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -661,6 +662,26 @@ def test_montecarlo_bins_out(tmp_path):
     assert [int(c[0]) for c in cells] == [0, 1, 2, 3, 4]
     assert sum(int(c[2]) for c in cells) == record["counts_max"]
     assert sum(int(c[3]) for c in cells) == record["counts_min"]
+
+
+@pytest.mark.parametrize("duration_s", [9.5, 8.5])
+def test_montecarlo_bins_out_bytes_match_csv_writer(tmp_path, monkeypatch, duration_s):
+    # The file is csv.writer's rendering of the monte_carlo_blocks rows, t_start_s
+    # through _fmt, across chunks of 4 blocks; the 0.5 s block shares the last
+    # chunk (9.5 s) or is alone in it (8.5 s).  At 150 km BTPE redraws some blocks.
+    monkeypatch.setattr(experiment, "_KEY_CHUNK", 4)
+    bins = tmp_path / "bins.csv"
+    assert run_cli(["montecarlo", "--duration-s", str(duration_s), "--seed", "3",
+                    "--distance-km-total", "150", "--bins-out", str(bins)])[0] == 0
+    link = cli._link(cli.load_config(None, [("channel", "distance_km_total", "150")]))
+    rows = experiment.monte_carlo_blocks(*link, experiment.DetectorSpec(), duration_s, 3,
+                                         "usd2", 1e9)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["block_index", "t_start_s", "counts_max", "counts_min"])
+    for index, t_start, c_max, c_min in rows:
+        writer.writerow([index, cli._fmt(t_start), c_max, c_min])
+    assert bins.read_bytes() == want.getvalue().encode()
 
 
 def test_montecarlo_bins_out_draws_each_block_once(tmp_path, monkeypatch):

@@ -466,8 +466,9 @@ def test_monte_carlo_cap_edges_draw():
     with pytest.raises(ValueError, match="source_rate_hz must give at most"):
         monte_carlo_blocks(REF, LINK_400, narrow, 1.0, 1, "usd2", math.nextafter(rate, math.inf))
     mean = experiment._MAX_DARK_MEAN
-    assert list(experiment._draw_blocks(report.p_max, report.p_min, mean, 1.0, 1, 1e9)) == [
-        (0, 0.0, *_block_draws(key, 10**9, report.p_max, report.p_min, mean))]
+    c_max, c_min = _block_draws(key, 10**9, report.p_max, report.p_min, mean)
+    assert list(experiment._draw_chunks(report.p_max, report.p_min, mean, 1.0, 1, 1e9)) == [
+        (0, [c_max], [c_min])]
     # With a 0.5 s window, a dark rate d gives d^2 usd2 accidentals per second.
     loudest = 3037000494.9760494
     loud = DetectorSpec(loudest, 0.5)

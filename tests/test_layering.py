@@ -75,12 +75,12 @@ def test_package_root_serves_only():
     assert not {"states", "fock"} & _imported_modules(ast.parse((SRC / "__init__.py").read_text()))
 
 
-def _loaded_after(code):
-    """catbell modules and numpy in sys.modules after a fresh interpreter runs code."""
+def _loaded_after(code, names=("numpy",)):
+    """catbell modules and `names` in sys.modules after a fresh interpreter runs code."""
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import io, sys; {code}; print(sorted(m for m in sys.modules "
-         f"if m == 'numpy' or m.split('.')[0] == 'catbell'))"],
+         f"if m in {names!r} or m.split('.')[0] == 'catbell'))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -99,3 +99,21 @@ def test_serving_loads_no_verifier():
         "import catbell.cli as cli; assert cli.main(['oracle', '--alpha', '2', "
         "'--distance-km-total', '0'], stream=io.StringIO()) == 0")
     assert {"catbell.protocols", "catbell.fock"} <= oracle, oracle
+
+
+def test_cold_commands_load_no_csv_or_configparser(tmp_path):
+    # csv serves CSV output alone, and configparser a --config file alone.
+    stdlib = ("csv", "configparser")
+    bins = tmp_path / "bins.csv"
+    loaded = _loaded_after(
+        "import catbell.cli as cli; codes = [cli.main(argv, stream=io.StringIO()) for argv in "
+        f"(['rates', '--output', 'json'], ['montecarlo', '--duration-s', '2.5', '--bins-out', "
+        f"{str(bins)!r}])]; assert codes == [0, 0], codes", stdlib)
+    assert not set(stdlib) & loaded, loaded
+    assert bins.read_text().count("\n") == 4
+    config = tmp_path / "link.ini"
+    config.write_text("[source]\nalpha = 50\n")
+    loaded = _loaded_after(
+        "import catbell.cli as cli; assert cli.main(['rates', '--output', 'csv', '--config', "
+        f"{str(config)!r}], stream=io.StringIO()) == 0", stdlib)
+    assert set(stdlib) <= loaded, loaded
